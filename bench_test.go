@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"c2mn/internal/core"
 	"c2mn/internal/experiments"
 	"c2mn/internal/notify"
 	"c2mn/internal/query"
@@ -364,7 +365,7 @@ func BenchmarkAnnotationLatency(b *testing.B) {
 	b.ReportMetric(float64(records)/float64(len(test)), "records/seq")
 }
 
-func benchAnnotationWorld(b *testing.B) (*Space, []LabeledSequence) {
+func benchAnnotationWorld(b testing.TB) (*Space, []LabeledSequence) {
 	b.Helper()
 	sc := experiments.Tiny()
 	space, err := GenerateBuilding(sc.MallSpec, 1)
@@ -416,6 +417,96 @@ func BenchmarkAnnotateSingleSequence(b *testing.B) {
 		if _, _, err := ann.Annotate(p); err != nil {
 			b.Fatal(err)
 		}
+	}
+	b.StopTimer()
+	st := annotateStats(b, ann, p)
+	b.ReportMetric(float64(st.RegionEvals+st.EventEvals)/float64(p.Len()), "evals/record")
+}
+
+// annotateStats annotates p on a pooled inference state and returns
+// the workspace's work counters for that run.
+func annotateStats(tb testing.TB, ann *Annotator, p *PSequence) core.SweepStats {
+	tb.Helper()
+	st := ann.pool.Get().(*inferState)
+	defer ann.pool.Put(st)
+	if _, _, err := ann.annotateWith(st, p, 0, 0, AnnotateOptions{}); err != nil {
+		tb.Fatal(err)
+	}
+	return st.ws.Stats()
+}
+
+// TestAnnotateWorkCountsPinned pins the inference work on the
+// BenchmarkAnnotateSingleSequence world: node evaluations, run pricings
+// and accepted moves per chain over its five test sequences. The scoring
+// kernels may get cheaper, but an optimisation that keeps these counts
+// made the same move sequence — a stronger statement than identical
+// final labels — and one that changes them changed the search.
+func TestAnnotateWorkCountsPinned(t *testing.T) {
+	space, data := benchAnnotationWorld(t)
+	ann, err := Train(space, data[:len(data)/2], TrainOptions{
+		V: 6, Exact: true, TuneClustering: true, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got core.SweepStats
+	for _, ls := range data[len(data)/2:] {
+		st := annotateStats(t, ann, &ls.P)
+		got.Sweeps += st.Sweeps
+		got.BlockSweeps += st.BlockSweeps
+		got.RegionEvals += st.RegionEvals
+		got.EventEvals += st.EventEvals
+		got.RunPricings += st.RunPricings
+		got.RegionMoves += st.RegionMoves
+		got.EventMoves += st.EventMoves
+		got.BlockMoves += st.BlockMoves
+	}
+	want := core.SweepStats{
+		Sweeps: 395, BlockSweeps: 100,
+		RegionEvals: 34147, EventEvals: 28559, RunPricings: 4955,
+		RegionMoves: 912, EventMoves: 115, BlockMoves: 260,
+	}
+	if got != want {
+		t.Fatalf("work counts over the 5 test sequences:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// BenchmarkAnnotateStayLength annotates one synthetic stay — an object
+// dwelling around a region's centroid for `stay` records — and reports
+// ns/record. The inference kernels look label runs up in the maintained
+// run index instead of rescanning them, so the per-record cost must not
+// grow with the length of the stay: the benchmark fails when stay=800
+// costs more than 1.5× stay=50 per record (rescanning costs ~7×). CI
+// also gates the stay=800 row against ci/BENCH_baseline.json at 2×.
+func BenchmarkAnnotateStayLength(b *testing.B) {
+	space, data := benchAnnotationWorld(b)
+	ann, err := Train(space, data[:len(data)/2], TrainOptions{
+		V: 6, Exact: true, TuneClustering: true, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := space.RegionCentroid(0)
+	perRecord := map[int]float64{}
+	for _, stay := range []int{50, 200, 800} {
+		rng := rand.New(rand.NewSource(7))
+		p := &PSequence{ObjectID: "stay"}
+		for i := 0; i < stay; i++ {
+			l := Loc(c.X+1.5*rng.NormFloat64(), c.Y+1.5*rng.NormFloat64(), c.Floor)
+			p.Records = append(p.Records, Record{Loc: l, T: 5 * float64(i)})
+		}
+		b.Run(fmt.Sprintf("stay=%d", stay), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := ann.Annotate(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perRecord[stay] = float64(b.Elapsed().Nanoseconds()) / float64(b.N*stay)
+			b.ReportMetric(perRecord[stay], "ns/record")
+		})
+	}
+	if short, long := perRecord[50], perRecord[800]; short > 0 && long > 1.5*short {
+		b.Errorf("ns/record grows with stay length: %.0f at stay=800 vs %.0f at stay=50 (%.2f×, limit 1.5×)", long, short, long/short)
 	}
 }
 

@@ -5,8 +5,12 @@
 // hit ratio measured as a /v1/stats delta across the run.
 //
 // The harness speaks the same wire protocol msgen-produced datasets
-// flow through: feed requests POST whole-object record batches to
-// /v1/venues/{venue}/feed, query requests GET the top-k sugars with a
+// flow through: feed requests POST one simulated visit to
+// /v1/venues/{venue}/feed under an object id drawn from a small pool per
+// venue, each visit starting η + 100 s after the object's previous one
+// (η is the server's default split gap), so every feed after an
+// object's first completes a fragment and the server annotates, stores
+// and publishes it; query requests GET the top-k sugars with a
 // bounded pool of distinct windows (so a steady-state mix re-asks
 // questions, like real dashboards do) and carry If-None-Match when a
 // previous response minted an ETag. -watch N holds N /v1/watch SSE
@@ -27,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -52,12 +57,23 @@ type sequenceRequest struct {
 	Records  []wireRecord `json:"records"`
 }
 
-// job is one pre-planned request. Feeds carry a complete object's
-// records in one POST, so workers never race on stream ordering.
+// objectsPerVenue is the size of the object-id pool each venue's visits
+// are fed under: small, so a short run revisits every object.
+const objectsPerVenue = 4
+
+// visitGap separates an object's consecutive visits: past the server's
+// default η, so the later visit closes the earlier one's fragment.
+const visitGap = c2mn.DefaultEta + 100
+
+// job is one pre-planned request. A feed carries one complete visit
+// of its object; prev is closed when the object's previous visit has
+// been answered and done when this one has, so concurrent workers keep
+// each object's stream in order.
 type job struct {
-	query bool
-	url   string // query target, or feed endpoint
-	body  []byte // feed payload, nil for queries
+	query      bool
+	url        string // query target, or feed endpoint
+	body       []byte // feed payload, nil for queries
+	prev, done chan struct{}
 }
 
 // classStats accumulates one request class's outcomes.
@@ -98,6 +114,7 @@ func (c *classStats) percentile(p float64) time.Duration {
 // shape matches both msserve and msrouter (EngineStats marshals its Go
 // field names).
 type cacheTotals struct {
+	EmittedSequences        int64
 	QueryCacheHits          int64
 	QueryCacheMisses        int64
 	QueryCacheRevalidations int64
@@ -135,7 +152,7 @@ func main() {
 	requests := flag.Int("requests", 1000, "total requests to issue")
 	queryRatio := flag.Float64("query-ratio", 0.8, "fraction of requests that are queries (the rest feed)")
 	concurrency := flag.Int("concurrency", 8, "concurrent workers")
-	objects := flag.Int("objects", 20, "simulated objects feeding the venues")
+	objects := flag.Int("objects", 20, "simulated visits in the replayed dataset")
 	duration := flag.Float64("duration", 1800, "simulated object lifespan in seconds")
 	seed := flag.Int64("seed", 1, "random seed for mobility and the request mix")
 	windows := flag.Int("windows", 8, "distinct query windows in the rotation")
@@ -171,11 +188,17 @@ func main() {
 	if err != nil {
 		log.Fatalf("generating mobility: %v", err)
 	}
-	if len(ds.Sequences) == 0 {
+	visits := ds.Sequences[:0]
+	for _, ls := range ds.Sequences {
+		if len(ls.P.Records) > 0 {
+			visits = append(visits, ls)
+		}
+	}
+	if len(visits) == 0 {
 		log.Fatal("simulator produced no sequences")
 	}
 
-	jobs := planJobs(*base, venues, ds.Sequences, *requests, *queryRatio, *windows, *k, *seed)
+	jobs, completing, horizon := planJobs(*base, venues, visits, *requests, *queryRatio, *windows, *k, *seed)
 
 	// The wall-clock bound is a watchdog, not a cancellation: CI calls
 	// msload against freshly-started processes, and a hang anywhere —
@@ -210,13 +233,7 @@ func main() {
 	var ws *watchStats
 	stopWatchers := func() {}
 	if *watch > 0 {
-		var maxT float64
-		for _, ls := range ds.Sequences {
-			if n := len(ls.P.Records); n > 0 && ls.P.Records[n-1].T > maxT {
-				maxT = ls.P.Records[n-1].T
-			}
-		}
-		ws, stopWatchers = startWatchers(ctx, *base, *watch, *k, maxT, &lastFeedNano)
+		ws, stopWatchers = startWatchers(ctx, *base, *watch, *k, horizon, &lastFeedNano)
 	}
 
 	start := time.Now()
@@ -251,6 +268,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("sampling post-run stats: %v", err)
 	}
+	emitted := after.EmittedSequences - before.EmittedSequences
 	hits := after.QueryCacheHits - before.QueryCacheHits
 	misses := after.QueryCacheMisses - before.QueryCacheMisses
 	revals := after.QueryCacheRevalidations - before.QueryCacheRevalidations
@@ -265,6 +283,7 @@ func main() {
 		len(queries.latencies), queries.percentile(0.50), queries.percentile(0.99), queries.notMod, queries.errors)
 	fmt.Printf("feeds:   %-6d p50 %-10v p99 %-10v 429s %-5d errors %d\n",
 		len(feeds.latencies), feeds.percentile(0.50), feeds.percentile(0.99), feeds.throttled, feeds.errors)
+	fmt.Printf("server: %d sequence(s) emitted by %d completing feed(s)\n", emitted, completing)
 	fmt.Printf("server query cache: hits %d, misses %d, revalidations %d, hit ratio %.3f\n",
 		hits, misses, revals, hitRatio)
 	if ws != nil {
@@ -274,6 +293,7 @@ func main() {
 
 	if *mdPath != "" {
 		md := markdownSummary(len(jobs), elapsed, qps, &queries, &feeds, hits, misses, revals, hitRatio)
+		md += fmt.Sprintf("\n| inference | value |\n|---|---|\n| completing feeds | %d |\n| emitted sequences | %d |\n", completing, emitted)
 		if ws != nil {
 			md += watchMarkdown(*watch, ws)
 		}
@@ -284,80 +304,102 @@ func main() {
 	if queries.errors+feeds.errors > 0 {
 		log.Fatalf("%d request(s) failed", queries.errors+feeds.errors)
 	}
+	if completing > 0 && emitted == 0 {
+		log.Fatalf("%d feed(s) crossed η but the server emitted no sequence: the run measured no inference", completing)
+	}
 	if *minHitRatio > 0 && hitRatio < *minHitRatio {
 		log.Fatalf("server hit ratio %.3f below the %.3f floor", hitRatio, *minHitRatio)
 	}
 }
 
 // planJobs lays out the deterministic request mix: feeds hand each
-// venue complete objects round-robin, queries rotate venue/fleet
+// venue the simulated visits round-robin, queries rotate venue/fleet
 // scopes, both kinds, and a bounded pool of windows so the mix
-// revisits warm keys.
-func planJobs(base string, venues []string, seqs []c2mn.LabeledSequence, requests int, queryRatio float64, windows, k int, seed int64) []job {
+// revisits warm keys. completing counts the feeds that follow an
+// earlier visit of their object and so complete a fragment; horizon is
+// the latest record time fed (the dataset's, when the mix has no feed).
+// seqs holds no empty visit.
+func planJobs(base string, venues []string, seqs []c2mn.LabeledSequence, requests int, queryRatio float64, windows, k int, seed int64) (jobs []job, completing int, horizon float64) {
 	rng := rand.New(rand.NewSource(seed))
-	// Pre-chunk the dataset into feed payloads, one object per POST.
-	// Each replay round mints fresh object IDs: re-feeding a finished
-	// object's records would rewind its stream clock and be rejected.
-	type feedPayload struct {
-		venue   string
-		records []wireRecord
+	// Each venue feeds its visits under a pool of object ids. An object's
+	// clock only moves forward: its next visit is shifted to start
+	// η + 100 s after its last record, which closes the previous visit's
+	// fragment on arrival.
+	type object struct {
+		id   string
+		next float64       // earliest start of the next visit
+		done chan struct{} // the previous visit's job
 	}
-	var payloads []feedPayload
-	for i, ls := range seqs {
-		venue := venues[i%len(venues)]
-		records := make([]wireRecord, len(ls.P.Records))
-		for j, r := range ls.P.Records {
-			records[j] = wireRecord{X: r.Loc.X, Y: r.Loc.Y, Floor: r.Loc.Floor, T: r.T}
-		}
-		payloads = append(payloads, feedPayload{venue: venue, records: records})
-	}
-
-	// The window pool: distinct half-open slices of the simulated time
-	// range. Small enough that a steady query stream re-asks them.
-	type span struct{ start, end float64 }
-	var maxT float64
-	for _, ls := range seqs {
-		if n := len(ls.P.Records); n > 0 && ls.P.Records[n-1].T > maxT {
-			maxT = ls.P.Records[n-1].T
+	objs := map[string][]*object{}
+	for _, v := range venues {
+		for o := 0; o < objectsPerVenue; o++ {
+			objs[v] = append(objs[v], &object{id: fmt.Sprintf("load-%s-%d", v, o)})
 		}
 	}
-	spans := make([]span, windows)
-	for i := range spans {
-		lo := rng.Float64() * maxT / 2
-		spans[i] = span{start: lo, end: lo + maxT/2}
-	}
 
-	jobs := make([]job, 0, requests)
+	// Feeds first: the span of time they cover is the horizon the query
+	// windows are drawn over.
+	jobs = make([]job, requests)
 	fed := 0
-	for i := 0; i < requests; i++ {
+	for i := range jobs {
 		if rng.Float64() < queryRatio {
-			sp := spans[rng.Intn(len(spans))]
-			kind := "popular-regions"
-			if rng.Intn(2) == 1 {
-				kind = "frequent-pairs"
-			}
-			scope := fmt.Sprintf("/v1/venues/%s/query/%s", venues[rng.Intn(len(venues))], kind)
-			if rng.Intn(4) == 0 {
-				scope = fmt.Sprintf("/v1/query/%s?scope=fleet&", kind)
-			} else {
-				scope += "?"
-			}
-			url := fmt.Sprintf("%s%sk=%d&start=%g&end=%g", base, scope, k, sp.start, sp.end)
-			jobs = append(jobs, job{query: true, url: url})
+			jobs[i].query = true
 			continue
 		}
-		p := payloads[fed%len(payloads)]
-		body, err := json.Marshal(sequenceRequest{
-			ObjectID: fmt.Sprintf("load-%d", fed),
-			Records:  p.records,
-		})
+		visit := seqs[fed%len(seqs)].P.Records
+		venue := venues[fed%len(venues)]
+		obj := objs[venue][fed/len(venues)%objectsPerVenue]
+		fed++
+		shift := obj.next - visit[0].T
+		records := make([]wireRecord, len(visit))
+		for j, r := range visit {
+			records[j] = wireRecord{X: r.Loc.X, Y: r.Loc.Y, Floor: r.Loc.Floor, T: r.T + shift}
+		}
+		body, err := json.Marshal(sequenceRequest{ObjectID: obj.id, Records: records})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fed++
-		jobs = append(jobs, job{url: base + "/v1/venues/" + p.venue + "/feed", body: body})
+		jobs[i] = job{url: base + "/v1/venues/" + venue + "/feed", body: body, prev: obj.done, done: make(chan struct{})}
+		if obj.done != nil {
+			completing++
+		}
+		horizon = math.Max(horizon, records[len(records)-1].T)
+		obj.next, obj.done = records[len(records)-1].T+visitGap, jobs[i].done
 	}
-	return jobs
+
+	// A mix without feeds still needs a time range to ask about.
+	if fed == 0 {
+		for _, ls := range seqs {
+			horizon = math.Max(horizon, ls.P.Records[len(ls.P.Records)-1].T)
+		}
+	}
+
+	// The window pool: distinct half-open slices of the fed time range.
+	// Small enough that a steady query stream re-asks them.
+	type span struct{ start, end float64 }
+	spans := make([]span, windows)
+	for i := range spans {
+		lo := rng.Float64() * horizon / 2
+		spans[i] = span{start: lo, end: lo + horizon/2}
+	}
+	for i := range jobs {
+		if !jobs[i].query {
+			continue
+		}
+		sp := spans[rng.Intn(len(spans))]
+		kind := "popular-regions"
+		if rng.Intn(2) == 1 {
+			kind = "frequent-pairs"
+		}
+		scope := fmt.Sprintf("/v1/venues/%s/query/%s", venues[rng.Intn(len(venues))], kind)
+		if rng.Intn(4) == 0 {
+			scope = fmt.Sprintf("/v1/query/%s?scope=fleet&", kind)
+		} else {
+			scope += "?"
+		}
+		jobs[i].url = fmt.Sprintf("%s%sk=%d&start=%g&end=%g", base, scope, k, sp.start, sp.end)
+	}
+	return jobs, completing, horizon
 }
 
 // runJob issues one request, timing it and folding the outcome into
@@ -376,6 +418,10 @@ func runJob(ctx context.Context, client *http.Client, jb job, queries, feeds *cl
 			etagMu.Unlock()
 		}
 	} else {
+		defer close(jb.done)
+		if jb.prev != nil {
+			<-jb.prev
+		}
 		req, err = http.NewRequestWithContext(ctx, http.MethodPost, jb.url, bytes.NewReader(jb.body))
 		if err == nil {
 			req.Header.Set("Content-Type", "application/json")

@@ -17,10 +17,12 @@ import (
 // allocation beyond the returned labels.
 //
 // The running score is updated incrementally: every accepted move adds
-// the exact Markov-blanket feature delta of that move (see
-// features.RegionRunDelta), so block moves cost O(run·Dim) instead of
-// the O(n·Dim) full rescore the previous implementation paid per
-// tentative relabeling.
+// the exact Markov-blanket score delta of that move. The label runs of
+// the current configuration are maintained state too: ix is built once
+// by Reset and repaired only by the moves that are actually applied
+// (applyRegionMove, applyEventMove, applyBlockMove and the annealer's
+// sampled moves), so the scoring kernels look segment extents up
+// instead of rescanning them for every candidate.
 //
 // A Workspace is not safe for concurrent use. The public layer keeps a
 // sync.Pool of them, one handed to each annotation worker.
@@ -37,6 +39,7 @@ type Workspace struct {
 	// hold the best fixed point found so far.
 	R     []indoor.RegionID
 	E     []seq.Event
+	ix    features.RunIndex // run extents of (R, E); its setters write R/E
 	initR []indoor.RegionID
 	initE []seq.Event
 	bestR []indoor.RegionID
@@ -45,7 +48,6 @@ type Workspace struct {
 	// Scratch: per-candidate feature buffers, logits and the raw
 	// (untempered) potentials of the annealed sweeps.
 	buf    []float64
-	delta  []float64
 	logits []float64
 	raw    []float64
 	scores []float64
@@ -63,7 +65,26 @@ type Workspace struct {
 	dirtyR []bool
 	dirtyE []bool
 	dirtyB []bool
+
+	stats SweepStats
 }
+
+// SweepStats counts the work of one Annotate: what the worklists let
+// through and what the search accepted.
+type SweepStats struct {
+	// Sweeps and BlockSweeps count node-level and run-level passes.
+	Sweeps, BlockSweeps int
+	// RegionEvals and EventEvals count node evaluations (one scoring of
+	// all candidates of a node); RunPricings counts (run, label) pairs
+	// priced by block moves.
+	RegionEvals, EventEvals, RunPricings int
+	// RegionMoves, EventMoves and BlockMoves count accepted (or, while
+	// annealing, sampled) label changes.
+	RegionMoves, EventMoves, BlockMoves int
+}
+
+// Stats returns the work counters of the last Annotate.
+func (ws *Workspace) Stats() SweepStats { return ws.stats }
 
 // NewWorkspace returns an empty workspace.
 func NewWorkspace() *Workspace { return &Workspace{} }
@@ -82,19 +103,28 @@ func (ws *Workspace) Reset(m *Model, ctx *features.SeqContext) {
 	ws.bestR = grow(ws.bestR, n)
 	ws.bestE = grow(ws.bestE, n)
 	ws.buf = grow(ws.buf, features.Dim)
-	ws.delta = grow(ws.delta, features.Dim)
 	ws.scores = grow(ws.scores, seq.NumEvents)
 	ws.dirtyR = grow(ws.dirtyR, n)
 	ws.dirtyE = grow(ws.dirtyE, n)
 	ws.dirtyB = grow(ws.dirtyB, n)
 	ws.markAllDirty()
+	ws.stats = SweepStats{}
 	InitRegionsInto(ctx, ws.R)
 	InitEventsInto(ctx, ws.E)
+	ws.ix.Reset(ctx, ws.R, ws.E)
 	copy(ws.initR, ws.R)
 	copy(ws.initE, ws.E)
 	ctx.TotalFeatures(ws.R, ws.E, ws.buf)
 	ws.score = dot(m.Weights, ws.buf)
 	ws.initScore = ws.score
+}
+
+// load replaces the current configuration wholesale and re-indexes it.
+func (ws *Workspace) load(R []indoor.RegionID, E []seq.Event, score float64) {
+	copy(ws.R, R)
+	copy(ws.E, E)
+	ws.score = score
+	ws.ix.Reset(ws.ctx, ws.R, ws.E)
 }
 
 // Score returns the running score of the current configuration. It
@@ -132,30 +162,23 @@ func (ws *Workspace) annotate(m *Model, ctx *features.SeqContext, opts InferOpti
 	// First candidate: ICM from the deterministic initialisation.
 	ws.icm(opts.MaxSweeps)
 	ws.blockICM(opts.MaxSweeps)
-	bestScore := ws.score
-	copy(ws.bestR, ws.R)
-	copy(ws.bestE, ws.E)
 
 	// Second candidate: annealed Gibbs from the initialisation, then
 	// ICM; keep whichever fixed point scores higher. The annealing
 	// escapes local optima near region boundaries that greedy ICM
 	// cannot leave.
 	if opts.AnnealSweeps > 0 {
-		copy(ws.R, ws.initR)
-		copy(ws.E, ws.initE)
-		ws.score = ws.initScore
+		bestScore := ws.score
+		copy(ws.bestR, ws.R)
+		copy(ws.bestE, ws.E)
+		ws.load(ws.initR, ws.initE, ws.initScore)
 		ws.anneal(opts)
 		ws.icm(opts.MaxSweeps)
 		ws.blockICM(opts.MaxSweeps)
-		if ws.score > bestScore {
-			bestScore = ws.score
-			copy(ws.bestR, ws.R)
-			copy(ws.bestE, ws.E)
+		if !(ws.score > bestScore) {
+			ws.load(ws.bestR, ws.bestE, bestScore)
 		}
 	}
-	copy(ws.R, ws.bestR)
-	copy(ws.E, ws.bestE)
-	ws.score = bestScore
 }
 
 // icm runs coordinate-ascent sweeps over R and E in place until a
@@ -172,10 +195,11 @@ func (ws *Workspace) annotate(m *Model, ctx *features.SeqContext, opts InferOpti
 // identical counting: a sweep over an all-clean worklist makes zero
 // moves and terminates exactly where a full no-move sweep would.
 func (ws *Workspace) icm(maxSweeps int) {
-	ctx, w := ws.ctx, ws.m.Weights
+	ctx, w, ix := ws.ctx, ws.m.Weights, &ws.ix
 	R, E, buf := ws.R, ws.E, ws.buf
 	n := ctx.Len()
 	for sweep := 0; sweep < maxSweeps; sweep++ {
+		ws.stats.Sweeps++
 		changed := false
 		for i := 0; i < n; i++ {
 			if !ws.dirtyR[i] {
@@ -188,7 +212,8 @@ func (ws *Workspace) icm(maxSweeps int) {
 			}
 			ws.scores = grow(ws.scores, len(cands))
 			scores := ws.scores[:len(cands)]
-			ctx.RegionCandScores(w, R, E, i, scores)
+			ws.stats.RegionEvals++
+			ix.RegionCandScores(w, i, scores)
 			cur := R[i]
 			best, bestV := cur, math.Inf(-1)
 			curV := math.Inf(-1)
@@ -220,7 +245,8 @@ func (ws *Workspace) icm(maxSweeps int) {
 			}
 			ws.dirtyE[i] = false
 			scores := ws.scores[:seq.NumEvents]
-			ctx.EventCandScores(w, R, E, i, scores)
+			ws.stats.EventEvals++
+			ix.EventCandScores(w, i, scores)
 			cur := E[i]
 			best, bestV := cur, math.Inf(-1)
 			curV := 0.0
@@ -280,111 +306,40 @@ func (ws *Workspace) markRange(lo, hi int) {
 // the event run around i (whose segmentation statistics read region
 // labels) extended by one node.
 func (ws *Workspace) applyRegionMove(i int, r indoor.RegionID) {
-	R, E := ws.R, ws.E
-	n := len(R)
-	aO, bO := runStartR(R, i), runEndR(R, i)
-	loO, hiO := aO, bO
-	if aO > 0 {
-		loO = runStartR(R, aO-1)
-	}
-	if bO+1 < n {
-		hiO = runEndR(R, bO+1)
-	}
-	R[i] = r
-	aN, bN := runStartR(R, i), runEndR(R, i)
-	loN, hiN := aN, bN
-	if aN > 0 {
-		loN = runStartR(R, aN-1)
-	}
-	if bN+1 < n {
-		hiN = runEndR(R, bN+1)
-	}
-	ea, eb := runStartE(E, i), runEndE(E, i)
-	ws.markRange(min(min(loO, loN), ea)-1, max(max(hiO, hiN), eb)+1)
+	ix := &ws.ix
+	loO, hiO := ix.RegionReach(ix.RegionRun(i))
+	ix.SetRegion(i, r)
+	loN, hiN := ix.RegionReach(ix.RegionRun(i))
+	ea, eb := ix.EventRun(i)
+	ws.markRange(min(loO, loN, ea)-1, max(hiO, hiN, eb)+1)
+	ws.stats.RegionMoves++
 }
 
 // applyEventMove is the event-label analogue of applyRegionMove: the
 // influence range unions the old and new event-run spans (extended by
 // the adjacent run and one node) with the region run around i.
 func (ws *Workspace) applyEventMove(i int, e seq.Event) {
-	R, E := ws.R, ws.E
-	n := len(E)
-	aO, bO := runStartE(E, i), runEndE(E, i)
-	loO, hiO := aO, bO
-	if aO > 0 {
-		loO = runStartE(E, aO-1)
-	}
-	if bO+1 < n {
-		hiO = runEndE(E, bO+1)
-	}
-	E[i] = e
-	aN, bN := runStartE(E, i), runEndE(E, i)
-	loN, hiN := aN, bN
-	if aN > 0 {
-		loN = runStartE(E, aN-1)
-	}
-	if bN+1 < n {
-		hiN = runEndE(E, bN+1)
-	}
-	ra, rb := runStartR(R, i), runEndR(R, i)
-	ws.markRange(min(min(loO, loN), ra)-1, max(max(hiO, hiN), rb)+1)
+	ix := &ws.ix
+	loO, hiO := ix.EventReach(ix.EventRun(i))
+	ix.SetEvent(i, e)
+	loN, hiN := ix.EventReach(ix.EventRun(i))
+	ra, rb := ix.RegionRun(i)
+	ws.markRange(min(loO, loN, ra)-1, max(hiO, hiN, rb)+1)
+	ws.stats.EventMoves++
 }
 
-// applyBlockMove relabels run [a, b] to r and marks its influence
-// range, mirroring applyRegionMove with the whole run as the changed
-// span.
+// applyBlockMove relabels the segment [a, b] to r and marks its
+// influence range, mirroring applyRegionMove with the whole segment as
+// the changed span.
 func (ws *Workspace) applyBlockMove(a, b int, r indoor.RegionID) {
-	R, E := ws.R, ws.E
-	n := len(R)
-	loO, hiO := a, b
-	if a > 0 {
-		loO = runStartR(R, a-1)
-	}
-	if b+1 < n {
-		hiO = runEndR(R, b+1)
-	}
-	for y := a; y <= b; y++ {
-		R[y] = r
-	}
-	aN, bN := runStartR(R, a), runEndR(R, b)
-	loN, hiN := aN, bN
-	if aN > 0 {
-		loN = runStartR(R, aN-1)
-	}
-	if bN+1 < n {
-		hiN = runEndR(R, bN+1)
-	}
-	ea, eb := runStartE(E, a), runEndE(E, b)
-	ws.markRange(min(min(loO, loN), ea)-1, max(max(hiO, hiN), eb)+1)
-}
-
-// Run-extent helpers over the label slices.
-func runStartR(R []indoor.RegionID, i int) int {
-	for i > 0 && R[i-1] == R[i] {
-		i--
-	}
-	return i
-}
-
-func runEndR(R []indoor.RegionID, i int) int {
-	for i+1 < len(R) && R[i+1] == R[i] {
-		i++
-	}
-	return i
-}
-
-func runStartE(E []seq.Event, i int) int {
-	for i > 0 && E[i-1] == E[i] {
-		i--
-	}
-	return i
-}
-
-func runEndE(E []seq.Event, i int) int {
-	for i+1 < len(E) && E[i+1] == E[i] {
-		i++
-	}
-	return i
+	ix := &ws.ix
+	loO, hiO := ix.RegionReach(a, b)
+	ix.SetRegionRun(a, b, r)
+	loN, hiN := ix.RegionReach(ix.RegionRun(a))
+	ea, _ := ix.EventRun(a)
+	_, eb := ix.EventRun(b)
+	ws.markRange(min(loO, loN, ea)-1, max(hiO, hiN, eb)+1)
+	ws.stats.BlockMoves++
 }
 
 // blockICM interleaves run-level region moves with node-level sweeps:
@@ -392,24 +347,24 @@ func runEndE(E []seq.Event, i int) int {
 // every candidate of its records, keeping score-improving moves.
 // Single-node ICM cannot make these moves once transition potentials
 // lock a run into a uniform (possibly wrong) label; relabeling the
-// block escapes that local optimum. Each tentative move is priced by
-// features.RegionRunDelta — O(run·Dim) on the run's Markov blanket —
-// instead of a full O(n·Dim) rescore. Every accepted move increases
-// the running score, so the procedure terminates.
+// block escapes that local optimum. All tentative labels of a run are
+// priced by one RunIndex.RegionRunCandScores call on the run's Markov
+// blanket instead of full O(n·Dim) rescores. Every accepted move
+// increases the running score, so the procedure terminates.
 func (ws *Workspace) blockICM(maxSweeps int) {
-	ctx, w := ws.ctx, ws.m.Weights
-	R, E := ws.R, ws.E
+	ctx, w, ix := ws.ctx, ws.m.Weights, &ws.ix
+	R := ws.R
 	n := ctx.Len()
 	if n == 0 {
 		return
 	}
 	for sweep := 0; sweep < maxSweeps; sweep++ {
+		ws.stats.BlockSweeps++
 		improved := false
 		for a := 0; a < n; {
-			b := a
-			for b+1 < n && R[b+1] == R[a] {
-				b++
-			}
+			// The segment starts at a even when a move just merged the
+			// preceding run into this one.
+			_, b := ix.RegionRun(a)
 			// Skip runs whose Markov blanket is untouched since they were
 			// last priced: the same extent re-prices to the same
 			// non-improving deltas, so the full sweep would make no move
@@ -428,20 +383,25 @@ func (ws *Workspace) blockICM(maxSweeps int) {
 			orig := R[a]
 			// Candidate labels: union over the run's records.
 			tried := append(ws.tried[:0], orig)
-			bestLabel, bestDelta := orig, 0.0
 			for x := a; x <= b; x++ {
 				for _, r := range ctx.Candidates[x] {
-					if containsRegion(tried, r) {
-						continue
-					}
-					tried = append(tried, r)
-					ctx.RegionRunDelta(R, E, a, b, r, ws.delta)
-					if d := dot(w, ws.delta); d > bestDelta {
-						bestLabel, bestDelta = r, d
+					if !containsRegion(tried, r) {
+						tried = append(tried, r)
 					}
 				}
 			}
 			ws.tried = tried
+			labels := tried[1:]
+			ws.scores = grow(ws.scores, len(labels))
+			deltas := ws.scores[:len(labels)]
+			ws.stats.RunPricings += len(labels)
+			ix.RegionRunCandScores(w, a, b, labels, deltas)
+			bestLabel, bestDelta := orig, 0.0
+			for k, d := range deltas {
+				if d > bestDelta {
+					bestLabel, bestDelta = labels[k], d
+				}
+			}
 			if bestLabel != orig {
 				ws.applyBlockMove(a, b, bestLabel)
 				ws.score += bestDelta
@@ -466,7 +426,7 @@ func (ws *Workspace) blockICM(maxSweeps int) {
 // sample stream. The wholesale rewrite invalidates the ICM worklists,
 // so anneal ends by re-arming them.
 func (ws *Workspace) anneal(opts InferOptions) {
-	ctx, w := ws.ctx, ws.m.Weights
+	ctx, w, ix := ws.ctx, ws.m.Weights, &ws.ix
 	R, E, buf := ws.R, ws.E, ws.buf
 	n := ctx.Len()
 	rng := rand.New(rand.NewSource(opts.Seed + 0x5eed))
@@ -479,7 +439,8 @@ func (ws *Workspace) anneal(opts InferOptions) {
 				ws.logits = grow(ws.logits, len(cands))
 				raw := ws.raw[:len(cands)]
 				logits := ws.logits[:len(cands)]
-				ctx.RegionCandScores(w, R, E, i, raw)
+				ws.stats.RegionEvals++
+				ix.RegionCandScores(w, i, raw)
 				rawOld := math.Inf(-1)
 				maxL := math.Inf(-1)
 				for k, r := range cands {
@@ -500,7 +461,8 @@ func (ws *Workspace) anneal(opts InferOptions) {
 						ctx.LocalRegionFeatures(R, E, i, R[i], buf)
 						rawOld = dot(w, buf)
 					}
-					R[i] = cands[k]
+					ix.SetRegion(i, cands[k])
+					ws.stats.RegionMoves++
 					ws.score += raw[k] - rawOld
 				}
 			}
@@ -508,7 +470,8 @@ func (ws *Workspace) anneal(opts InferOptions) {
 			ws.logits = grow(ws.logits, seq.NumEvents)
 			raw := ws.raw[:seq.NumEvents]
 			logits := ws.logits[:seq.NumEvents]
-			ctx.EventCandScores(w, R, E, i, raw)
+			ws.stats.EventEvals++
+			ix.EventCandScores(w, i, raw)
 			rawOld := 0.0
 			maxL := math.Inf(-1)
 			for e := 0; e < seq.NumEvents; e++ {
@@ -525,7 +488,8 @@ func (ws *Workspace) anneal(opts InferOptions) {
 			normalizeExp(logits, maxL)
 			k := sampleIndex(logits, rng)
 			if seq.Event(k) != E[i] {
-				E[i] = seq.Event(k)
+				ix.SetEvent(i, seq.Event(k))
+				ws.stats.EventMoves++
 				ws.score += raw[k] - rawOld
 			}
 		}

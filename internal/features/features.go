@@ -228,8 +228,8 @@ type SeqContext struct {
 	pts            []cluster.Point
 	clusterRes     cluster.Result
 	clusterScratch cluster.Scratch
-	// seenScratch backs the distinct-region count of ES.
-	seenScratch []indoor.RegionID
+	// seenScratch and seenScratch2 back the distinct-region counts of ES.
+	seenScratch, seenScratch2 []indoor.RegionID
 	// idsScratch backs the R-tree lookups of the candidate search.
 	idsScratch []int
 
@@ -241,9 +241,16 @@ type SeqContext struct {
 	// exp(−γ'·Δt) of fst/fsc; empty when the decay is disabled.
 	stDecay []float64
 	scDecay []float64
+	// scMemo holds the fsc values of edge i at scOff[i], one per pair of
+	// candidate slots (row-major, Candidates[i] × Candidates[i+1]); −1
+	// marks a pair not computed yet.
+	scMemo []float64
+	scOff  []int
 	// scoreBuf is the Dim-vector the fused path assembles feature
-	// values into before the dot product.
+	// values into before the dot product; runOld holds the old side of a
+	// block move's per-record differences.
 	scoreBuf []float64
+	runOld   []float64
 }
 
 // NewSeqContext precomputes the context of one p-sequence. When
@@ -357,6 +364,18 @@ func (c *SeqContext) Reset(p *seq.PSequence, truth []indoor.RegionID) {
 	} else {
 		c.scDecay = c.scDecay[:0]
 	}
+	// The fsc memo starts empty: one slot per candidate pair of each edge,
+	// filled by the first evaluation that asks for it.
+	c.scOff = growSlice(c.scOff, max(0, n-1))
+	pairs := 0
+	for i := 0; i+1 < n; i++ {
+		c.scOff[i] = pairs
+		pairs += len(c.Candidates[i]) * len(c.Candidates[i+1])
+	}
+	c.scMemo = growSlice(c.scMemo, pairs)
+	for k := range c.scMemo {
+		c.scMemo[k] = -1
+	}
 	if n > 0 {
 		c.distCum[0] = 0
 		c.turnCum[0] = 0
@@ -410,10 +429,13 @@ func (c *SeqContext) Len() int { return c.P.Len() }
 // uncertainty disk of record i and region r, optionally scaled by the
 // historical region-frequency prior.
 func (c *SeqContext) SM(i int, r indoor.RegionID) float64 {
-	for k, cand := range c.Candidates[i] {
-		if cand == r {
-			return c.overlap[i][k] * c.prior(r)
-		}
+	return c.smAt(i, r, c.candIndex(i, r))
+}
+
+// smAt is SM(i, r) given r's slot k in Candidates[i] (−1 when absent).
+func (c *SeqContext) smAt(i int, r indoor.RegionID, k int) float64 {
+	if k >= 0 {
+		return c.overlap[i][k] * c.prior(r)
 	}
 	if r == indoor.NoRegion {
 		return 0
