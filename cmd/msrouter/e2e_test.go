@@ -393,19 +393,25 @@ func TestRouterMigrationE2E(t *testing.T) {
 	}, "routing")
 	defer rtr.stop()
 
-	// Wait until the router has discovered both backends ready.
+	// Wait until the router has discovered BOTH backends ready. /readyz
+	// turns 200 on the first, and a venue fed before the second answers
+	// its probe is placed among one backend and re-placed among two.
 	waitReady := func() {
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			resp, err := http.Get(rtr.base + "/readyz")
-			if err == nil {
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusOK {
-					return
-				}
+			var table struct {
+				Backends []struct {
+					Ready bool `json:"ready"`
+				} `json:"backends"`
+			}
+			resp := doJSON(t, http.MethodGet, rtr.base+"/v1/admin/backends", routerToken, nil)
+			err := json.NewDecoder(resp.Body).Decode(&table)
+			resp.Body.Close()
+			if err == nil && len(table.Backends) == 2 && table.Backends[0].Ready && table.Backends[1].Ready {
+				return
 			}
 			if time.Now().After(deadline) {
-				t.Fatal("router never became ready")
+				t.Fatalf("router never saw both backends ready: %+v (%v)", table, err)
 			}
 			time.Sleep(50 * time.Millisecond)
 		}

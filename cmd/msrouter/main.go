@@ -18,8 +18,9 @@
 // errors only — an HTTP response, 429 backpressure included, is the
 // backend's answer and passes through with its Retry-After untouched.
 // Fleet- and multi-venue queries scatter across the owning backends,
-// fetch untruncated per-venue partials, and merge them exactly: the
-// answer is byte-identical to a single msserve holding every venue.
+// fetch one untruncated partial per backend — pre-merged there over
+// its share of the venues — and merge them exactly: the answer is
+// byte-identical to a single msserve holding every venue.
 //
 // GET /v1/watch (and /v1/venues/{venue}/watch) serves the fleet
 // continuous-query plane: one client SSE stream multiplexed over

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -450,7 +450,7 @@ func (e *Engine) queryCounts(kind QueryKind, regions []RegionID, w Window, k int
 func queryCacheKey(kind QueryKind, regions []RegionID, w Window, k int) string {
 	rs := make([]RegionID, len(regions))
 	copy(rs, regions)
-	sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
+	slices.Sort(rs)
 	buf := make([]byte, 0, 48+8*len(rs))
 	buf = append(buf, kind...)
 	buf = append(buf, '|')

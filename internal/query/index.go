@@ -3,7 +3,7 @@ package query
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"c2mn/internal/indoor"
 	"c2mn/internal/seq"
@@ -504,7 +504,7 @@ func (ix *Index) TopKPopularRegions(q []indoor.RegionID, w Window, k int) []Regi
 			out = append(out, RegionCount{r, c})
 		}
 	}
-	sortRegionCounts(out)
+	SortRegionCounts(out)
 	return TruncateRegionCounts(out, k)
 }
 
@@ -593,7 +593,7 @@ func (ix *Index) TopKFrequentPairs(q []indoor.RegionID, w Window, k int) []PairC
 					regions = append(regions, m.Region)
 				}
 			}
-			sort.Slice(regions, func(i, j int) bool { return regions[i] < regions[j] })
+			slices.Sort(regions)
 			for i := 0; i < len(regions); i++ {
 				for j := i + 1; j < len(regions); j++ {
 					counts[[2]indoor.RegionID{regions[i], regions[j]}]++
@@ -605,7 +605,7 @@ func (ix *Index) TopKFrequentPairs(q []indoor.RegionID, w Window, k int) []PairC
 	for p, c := range counts {
 		out = append(out, PairCount{p[0], p[1], c})
 	}
-	sortPairCounts(out)
+	SortPairCounts(out)
 	return TruncatePairCounts(out, k)
 }
 

@@ -1,8 +1,9 @@
 package query
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"c2mn/internal/indoor"
 )
@@ -26,32 +27,72 @@ const AllCounts = math.MaxInt
 // ties broken by region ID ascending. The change-feed fold
 // (internal/notify) re-sorts answers it reassembles from deltas with
 // this, so folded and freshly-computed answers compare byte-for-byte.
-func SortRegionCounts(out []RegionCount) { sortRegionCounts(out) }
+func SortRegionCounts(out []RegionCount) { slices.SortFunc(out, compareRegionCounts) }
 
 // SortPairCounts orders a pair-count list canonically.
-func SortPairCounts(out []PairCount) { sortPairCounts(out) }
+func SortPairCounts(out []PairCount) { slices.SortFunc(out, comparePairCounts) }
 
-// sortRegionCounts orders a count list canonically.
-func sortRegionCounts(out []RegionCount) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Region < out[j].Region
-	})
+// compareRegionCounts is the canonical order of region counts.
+func compareRegionCounts(a, b RegionCount) int {
+	if a.Count != b.Count {
+		return cmp.Compare(b.Count, a.Count)
+	}
+	return cmp.Compare(a.Region, b.Region)
 }
 
-// sortPairCounts orders a pair-count list canonically.
-func sortPairCounts(out []PairCount) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
+// comparePairCounts is the canonical order of pair counts.
+func comparePairCounts(a, b PairCount) int {
+	if a.Count != b.Count {
+		return cmp.Compare(b.Count, a.Count)
+	}
+	if a.A != b.A {
+		return cmp.Compare(a.A, b.A)
+	}
+	return cmp.Compare(a.B, b.B)
+}
+
+// selectTop returns the first k elements of s in compare order, sorted —
+// what sorting all of s and truncating to k yields — in O(n log k)
+// instead of O(n log n). It works in place and keeps only the winners:
+// s must be scratch the caller owns. k >= len(s) sorts everything.
+func selectTop[T any](s []T, k int, compare func(a, b T) int) []T {
+	if k >= len(s) {
+		slices.SortFunc(s, compare)
+		return s
+	}
+	// h is a heap with the last-ranked of the k kept elements on top,
+	// so one comparison decides whether a further element displaces it.
+	h := s[:max(k, 0)]
+	if len(h) == 0 {
+		return h
+	}
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(h) {
+				return
+			}
+			if c+1 < len(h) && compare(h[c+1], h[c]) > 0 {
+				c++
+			}
+			if compare(h[c], h[i]) <= 0 {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
 		}
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for _, x := range s[len(h):] {
+		if compare(x, h[0]) < 0 {
+			h[0] = x
+			down(0)
 		}
-		return out[i].B < out[j].B
-	})
+	}
+	slices.SortFunc(h, compare)
+	return h
 }
 
 // TruncateRegionCounts caps a canonically-ordered count list at k
@@ -90,8 +131,21 @@ func TruncatePairCounts(pcs []PairCount, k int) []PairCount {
 // region ID namespace across venues (the per-venue breakdown is the
 // disambiguated view).
 func MergeRegionCounts(lists ...[]RegionCount) []RegionCount {
+	return MergeTopRegionCounts(AllCounts, lists...)
+}
+
+// MergePairCounts is the pair analogue of MergeRegionCounts.
+func MergePairCounts(lists ...[]PairCount) []PairCount {
+	return MergeTopPairCounts(AllCounts, lists...)
+}
+
+// MergeTopRegionCounts is TruncateRegionCounts(MergeRegionCounts(lists...), k)
+// without ranking the rows the truncation drops: the merged top k is
+// selected, not cut from a full sort. A single list is already
+// canonical and is only truncated (it is never written to).
+func MergeTopRegionCounts(k int, lists ...[]RegionCount) []RegionCount {
 	if len(lists) == 1 {
-		return lists[0]
+		return TruncateRegionCounts(lists[0], k)
 	}
 	total := 0
 	for _, l := range lists {
@@ -107,14 +161,13 @@ func MergeRegionCounts(lists ...[]RegionCount) []RegionCount {
 	for r, c := range counts {
 		out = append(out, RegionCount{Region: r, Count: c})
 	}
-	sortRegionCounts(out)
-	return out
+	return selectTop(out, k, compareRegionCounts)
 }
 
-// MergePairCounts is the pair analogue of MergeRegionCounts.
-func MergePairCounts(lists ...[]PairCount) []PairCount {
+// MergeTopPairCounts is the pair analogue of MergeTopRegionCounts.
+func MergeTopPairCounts(k int, lists ...[]PairCount) []PairCount {
 	if len(lists) == 1 {
-		return lists[0]
+		return TruncatePairCounts(lists[0], k)
 	}
 	total := 0
 	for _, l := range lists {
@@ -130,6 +183,5 @@ func MergePairCounts(lists ...[]PairCount) []PairCount {
 	for p, c := range counts {
 		out = append(out, PairCount{A: p[0], B: p[1], Count: c})
 	}
-	sortPairCounts(out)
-	return out
+	return selectTop(out, k, comparePairCounts)
 }

@@ -146,3 +146,48 @@ func TestTruncateBounds(t *testing.T) {
 		t.Fatalf("pair k=0 truncation = %v, want empty", got)
 	}
 }
+
+// TestMergeTopEqualsTruncatedMerge pins the selection path against the
+// full sort it replaces: for every list count (none, the single-list
+// pass-through, several) and every k around the edges, MergeTop* is
+// Truncate*(Merge*(...), k) — nil-ness included, since the HTTP layer
+// renders nil and empty lists differently — and never writes to its
+// inputs, which are other requests' cached partials.
+func TestMergeTopEqualsTruncatedMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 40; trial++ {
+		nLists := trial % 4
+		regionLists := make([][]RegionCount, nLists)
+		pairLists := make([][]PairCount, nLists)
+		for i := range regionLists {
+			for r := 0; r < 60; r++ {
+				if rng.Intn(3) > 0 {
+					// Few distinct counts, so ties are decided by ID.
+					regionLists[i] = append(regionLists[i], RegionCount{Region: indoor.RegionID(r), Count: 1 + rng.Intn(4)})
+				}
+			}
+			SortRegionCounts(regionLists[i])
+			pairLists[i] = randomPairCounts(rng, 150+rng.Intn(100))
+			SortPairCounts(pairLists[i])
+		}
+		if trial == 1 {
+			regionLists[0], pairLists[0] = nil, nil
+		}
+		regionsBefore := fmt.Sprint(regionLists)
+		pairsBefore := fmt.Sprint(pairLists)
+		nR, nP := len(MergeRegionCounts(regionLists...)), len(MergePairCounts(pairLists...))
+		for _, k := range []int{-1, 0, 1, 5, nR - 1, nR, nR + 1, nP - 1, nP, nP + 1, AllCounts} {
+			gotR, wantR := MergeTopRegionCounts(k, regionLists...), TruncateRegionCounts(MergeRegionCounts(regionLists...), k)
+			if !reflect.DeepEqual(gotR, wantR) {
+				t.Fatalf("trial %d k=%d: MergeTopRegionCounts = %#v, truncated merge = %#v", trial, k, gotR, wantR)
+			}
+			gotP, wantP := MergeTopPairCounts(k, pairLists...), TruncatePairCounts(MergePairCounts(pairLists...), k)
+			if !reflect.DeepEqual(gotP, wantP) {
+				t.Fatalf("trial %d k=%d: MergeTopPairCounts = %#v, truncated merge = %#v", trial, k, gotP, wantP)
+			}
+		}
+		if fmt.Sprint(regionLists) != regionsBefore || fmt.Sprint(pairLists) != pairsBefore {
+			t.Fatalf("trial %d: a merge wrote to its input lists", trial)
+		}
+	}
+}

@@ -10,7 +10,7 @@
 package query
 
 import (
-	"sort"
+	"slices"
 
 	"c2mn/internal/indoor"
 	"c2mn/internal/seq"
@@ -78,7 +78,7 @@ func TopKPopularRegions(mss []seq.MSSequence, q []indoor.RegionID, w Window, k i
 	for r, c := range counts {
 		out = append(out, RegionCount{r, c})
 	}
-	sortRegionCounts(out)
+	SortRegionCounts(out)
 	return TruncateRegionCounts(out, k)
 }
 
@@ -92,7 +92,7 @@ func TopKFrequentPairs(mss []seq.MSSequence, q []indoor.RegionID, w Window, k in
 		for r := range v {
 			regions = append(regions, r)
 		}
-		sort.Slice(regions, func(i, j int) bool { return regions[i] < regions[j] })
+		slices.Sort(regions)
 		for i := 0; i < len(regions); i++ {
 			for j := i + 1; j < len(regions); j++ {
 				counts[[2]indoor.RegionID{regions[i], regions[j]}]++
@@ -103,7 +103,7 @@ func TopKFrequentPairs(mss []seq.MSSequence, q []indoor.RegionID, w Window, k in
 	for p, c := range counts {
 		out = append(out, PairCount{p[0], p[1], c})
 	}
-	sortPairCounts(out)
+	SortPairCounts(out)
 	return TruncatePairCounts(out, k)
 }
 

@@ -214,16 +214,23 @@ func copyForwardHeaders(dst, src http.Header) {
 // attached, and non-2xx responses turned into errors carrying the
 // backend's own message.
 func (rt *Router) backendJSON(ctx context.Context, method, target string, body []byte, out any) error {
-	_, _, err := rt.backendJSONCond(ctx, method, target, body, "", out)
-	return err
+	buf, _, _, err := rt.backendFetch(ctx, method, target, body, "")
+	if err != nil || out == nil {
+		return err
+	}
+	if err := json.Unmarshal(buf, out); err != nil {
+		return fmt.Errorf("%s %s: decoding response: %w", method, target, err)
+	}
+	return nil
 }
 
-// backendJSONCond is backendJSON with HTTP freshness: a non-empty
-// ifNoneMatch is sent as If-None-Match, and a 304 answer returns
-// notModified=true without touching out. The response's ETag (empty
+// backendFetch is the request under backendJSON, with HTTP freshness:
+// a non-empty ifNoneMatch is sent as If-None-Match, and a 304 answer
+// returns notModified=true and no body. The response's ETag (empty
 // when the backend minted none) is returned so callers can label what
-// they cache.
-func (rt *Router) backendJSONCond(ctx context.Context, method, target string, body []byte, ifNoneMatch string, out any) (etag string, notModified bool, err error) {
+// they cache. A 2xx body larger than cfg.MaxBody is an error, never a
+// silently cut buffer.
+func (rt *Router) backendFetch(ctx context.Context, method, target string, body []byte, ifNoneMatch string) (buf []byte, etag string, notModified bool, err error) {
 	header := http.Header{}
 	if body != nil {
 		header.Set("Content-Type", "application/json")
@@ -236,28 +243,25 @@ func (rt *Router) backendJSONCond(ctx context.Context, method, target string, bo
 	}
 	resp, err := rt.roundTrip(ctx, method, target, header, body)
 	if err != nil {
-		return "", false, err
+		return nil, "", false, err
 	}
 	defer resp.Body.Close()
 	etag = resp.Header.Get("ETag")
 	if resp.StatusCode == http.StatusNotModified {
 		io.Copy(io.Discard, resp.Body)
-		return etag, true, nil
+		return nil, etag, true, nil
 	}
-	buf, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxBody))
+	buf, err = io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxBody+1))
 	if err != nil {
-		return "", false, fmt.Errorf("%s %s: reading response: %w", method, target, err)
+		return nil, "", false, fmt.Errorf("%s %s: reading response: %w", method, target, err)
+	}
+	if int64(len(buf)) > rt.cfg.MaxBody {
+		return nil, "", false, fmt.Errorf("%s %s: response exceeds the %d-byte body limit", method, target, rt.cfg.MaxBody)
 	}
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return "", false, backendError(method, target, resp.StatusCode, buf)
+		return nil, "", false, backendError(method, target, resp.StatusCode, buf)
 	}
-	if out == nil {
-		return etag, false, nil
-	}
-	if err := json.Unmarshal(buf, out); err != nil {
-		return "", false, fmt.Errorf("%s %s: decoding response: %w", method, target, err)
-	}
-	return etag, false, nil
+	return buf, etag, false, nil
 }
 
 // backendError folds a backend's typed /v1 error payload into a Go

@@ -87,7 +87,9 @@ type Config struct {
 
 	// Client issues every backend request. The default disables
 	// automatic redirect following — the router re-forwards
-	// mid-migration 307s itself, exactly once.
+	// mid-migration 307s itself, exactly once — and runs on its own
+	// transport, whose idle pool per backend is sized for the router's
+	// fan-out rather than http.DefaultTransport's two connections.
 	Client *http.Client
 
 	// Logf receives operational log lines (default: discard).
@@ -106,11 +108,11 @@ type Router struct {
 	pins      map[string]string // venue → backend URL, overriding HRW
 	migrating map[string]bool   // venues with an in-flight migration
 
-	// Scatter partial cache (see scatter.go): per-(backend, venue)
-	// single-venue partials keyed by the canonical sub-query body and
-	// validated against the owning backend's ETag with conditional
-	// requests, so a fleet query only re-fetches venues whose stores
-	// actually moved.
+	// Scatter partial cache (see scatter.go): per-(backend, venue group)
+	// partials keyed by the canonical sub-query body and validated
+	// against the owning backend's ETag with conditional requests, so a
+	// fleet query only re-fetches groups in which a store actually
+	// moved.
 	partialMu sync.Mutex
 	partials  *lru.Cache[string, scatterPartial]
 
@@ -118,6 +120,8 @@ type Router struct {
 	partialHits   atomic.Int64 // 304: cached partial reused as-is
 	partialMisses atomic.Int64 // full fetch: cold key or moved store
 	partialRevals atomic.Int64 // conditional requests sent
+	subRequests   atomic.Int64 // sub-queries sent, conditional or not
+	decodedBytes  atomic.Int64 // bytes of fetched partials decoded
 
 	// watchStop is closed by StopWatches when the router drains; open
 	// /v1/watch client streams emit a terminal goodbye and return so
@@ -125,6 +129,10 @@ type Router struct {
 	watchStop     chan struct{}
 	watchStopOnce sync.Once
 }
+
+// backendIdleConns is how many idle connections the router's own
+// transport keeps per backend.
+const backendIdleConns = 32
 
 // backendState is the router's view of one msserve process.
 type backendState struct {
@@ -169,6 +177,15 @@ func New(cfg Config) (*Router, error) {
 	client := cfg.Client
 	if client == nil {
 		client = &http.Client{}
+		// http.DefaultTransport keeps 2 idle connections per host; a
+		// router talks to a handful of hosts on many connections at once
+		// (proxied clients, scatter sub-queries, probes) and would re-dial
+		// for most of them.
+		if dt, ok := http.DefaultTransport.(*http.Transport); ok {
+			tr := dt.Clone()
+			tr.MaxIdleConnsPerHost = backendIdleConns
+			client.Transport = tr
+		}
 	}
 	if client.CheckRedirect == nil {
 		// Redirects are routing decisions here: a 307 from a draining
@@ -576,6 +593,8 @@ func (rt *Router) handleListBackends(w http.ResponseWriter, r *http.Request) {
 			"hits":          rt.partialHits.Load(),
 			"misses":        rt.partialMisses.Load(),
 			"revalidations": rt.partialRevals.Load(),
+			"sub_requests":  rt.subRequests.Load(),
+			"decoded_bytes": rt.decodedBytes.Load(),
 		},
 	})
 }

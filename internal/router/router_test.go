@@ -24,6 +24,13 @@ type fakeVenue struct {
 	Regions []c2mn.RegionCount `json:"regions"` // canonical order
 	Pairs   []c2mn.PairCount   `json:"pairs"`   // canonical order
 	Stats   c2mn.EngineStats   `json:"stats"`
+	Gen     uint64             `json:"gen"` // store generation behind the ETag
+}
+
+// fakeQuery is one POST /v1/query a fake backend received.
+type fakeQuery struct {
+	Venues      []string
+	IfNoneMatch string
 }
 
 // fakeBackend emulates the msserve surface the router touches:
@@ -31,18 +38,19 @@ type fakeVenue struct {
 // stats, feeds, and the migration primitives. It logs every mutating
 // call so tests can assert the router's sequencing.
 type fakeBackend struct {
-	t   *testing.T
+	t   testing.TB
 	srv *httptest.Server
 
 	mu       sync.Mutex
 	venues   map[string]*fakeVenue
 	drained  map[string]string // venue -> redirect ("" = plain drain)
 	calls    []string
+	queries  []fakeQuery
 	feedHook func(w http.ResponseWriter, r *http.Request) bool // true = handled
 	token    string
 }
 
-func newFakeBackend(t *testing.T) *fakeBackend {
+func newFakeBackend(t testing.TB) *fakeBackend {
 	f := &fakeBackend{t: t, venues: map[string]*fakeVenue{}, drained: map[string]string{}}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
@@ -219,36 +227,78 @@ func (f *fakeBackend) writeUnknownVenue(w http.ResponseWriter, id string) {
 	}})
 }
 
-// handleQuery serves single-venue-scope queries from the canned
-// counts, truncating to K like the real registry.
+// queryLog returns the queries received so far.
+func (f *fakeBackend) queryLog() []fakeQuery {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]fakeQuery(nil), f.queries...)
+}
+
+// handleQuery serves venue- and venues-scope queries from the canned
+// counts like the real registry: every named venue must be loaded, the
+// lists merge exactly and truncate to K, per_venue adds each venue's
+// own top K, and the answer carries the composite generation ETag that
+// a matching If-None-Match turns into a 304.
 func (f *fakeBackend) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]wireError{"error": {Code: "invalid_argument", Message: err.Error()}})
 		return
 	}
-	if len(req.Venues) != 1 {
-		f.t.Errorf("fake backend got a query for %d venues; the router must scatter per venue", len(req.Venues))
-		writeJSON(w, http.StatusBadRequest, map[string]wireError{"error": {Code: "invalid_query", Message: "want one venue"}})
+	f.mu.Lock()
+	f.queries = append(f.queries, fakeQuery{Venues: req.Venues, IfNoneMatch: r.Header.Get("If-None-Match")})
+	f.mu.Unlock()
+	nq, err := normalizeQuery(req.Query)
+	if err != nil || nq.Scope == c2mn.ScopeFleet {
+		f.t.Errorf("fake backend got query %+v (%v); the router sends venue or venues scope", req.Query, err)
+		writeJSON(w, http.StatusBadRequest, map[string]wireError{"error": {Code: "invalid_query", Message: "bad query"}})
 		return
 	}
-	id := req.Venues[0]
-	v, ok := f.venue(id)
-	if !ok {
-		f.writeUnknownVenue(w, id)
-		return
+	req.Query = nq
+	res := c2mn.QueryResult{Kind: req.Kind, Scope: req.Scope, K: req.K, Scanned: req.Venues}
+	var regionLists [][]c2mn.RegionCount
+	var pairLists [][]c2mn.PairCount
+	sorted := append([]string(nil), req.Venues...)
+	sort.Strings(sorted)
+	etag := `"`
+	for _, id := range sorted {
+		v, ok := f.venue(id)
+		if !ok {
+			f.writeUnknownVenue(w, id)
+			return
+		}
+		etag += fmt.Sprintf("%s:%d;", id, v.Gen)
 	}
-	res := c2mn.QueryResult{Kind: req.Kind, Scope: c2mn.ScopeVenue, K: req.K, Scanned: []string{id}}
+	etag += `"`
+	for _, id := range req.Venues {
+		v, _ := f.venue(id)
+		row := c2mn.VenueCounts{Venue: id}
+		if req.Kind == c2mn.QueryFrequentPairs {
+			pairLists = append(pairLists, v.Pairs)
+			row.Pairs = query.TruncatePairCounts(v.Pairs, req.K)
+		} else {
+			regionLists = append(regionLists, v.Regions)
+			row.Regions = query.TruncateRegionCounts(v.Regions, req.K)
+		}
+		if req.PerVenue {
+			res.PerVenue = append(res.PerVenue, row)
+		}
+	}
 	if req.Kind == c2mn.QueryFrequentPairs {
-		res.Pairs = query.TruncatePairCounts(v.Pairs, req.K)
+		res.Pairs = query.MergeTopPairCounts(req.K, pairLists...)
 	} else {
-		res.Regions = query.TruncateRegionCounts(v.Regions, req.K)
+		res.Regions = query.MergeTopRegionCounts(req.K, regionLists...)
+	}
+	w.Header().Set("ETag", etag)
+	if r.Header.Get("If-None-Match") == etag {
+		w.WriteHeader(http.StatusNotModified)
+		return
 	}
 	writeJSON(w, http.StatusOK, queryResponse{QueryResult: res})
 }
 
 // testRouter builds a router over the fakes and runs one health sweep.
-func testRouter(t *testing.T, cfg Config, fakes ...*fakeBackend) *Router {
+func testRouter(t testing.TB, cfg Config, fakes ...*fakeBackend) *Router {
 	t.Helper()
 	for _, f := range fakes {
 		cfg.Backends = append(cfg.Backends, f.srv.URL)

@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -23,21 +24,54 @@ import (
 // whose owners collapse onto one backend is forwarded verbatim — the
 // backend's own merge is already exact, and raw forwarding preserves
 // its response bytes (and region names) untouched. Everything wider
-// scatters: the router asks each target venue's owner for that one
-// venue's UNTRUNCATED counts (k = query.AllCounts — top-k partials
-// cannot merge exactly; a region ranked k+1 everywhere can be the
-// global winner) and merges them with the same internal/query helpers
-// msserve's registry uses, so a fleet answer through the router is
-// byte-identical to a single process holding every venue.
+// scatters, one sub-query per owning backend: the router asks each
+// backend for the UNTRUNCATED counts of its share of the target venues
+// (k = query.AllCounts — top-k partials cannot merge exactly; a region
+// ranked k+1 everywhere can be the global winner), which the backend's
+// registry pre-merges in process, and merges the per-backend lists
+// with the same internal/query helpers msserve's registry uses, so a
+// fleet answer through the router is byte-identical to a single
+// process holding every venue.
 
-// scatterPartial is one cached single-venue partial: the untruncated
-// counts a backend returned for (backend, venue, sub-query), labeled
-// with the ETag the backend minted for it. Revalidation sends the
-// ETag back as If-None-Match; a 304 means the venue's store
-// generation has not moved, so the cached counts are still exact.
+// scatterCounts is what the router keeps of a backend's answer to one
+// sub-query: the untruncated counts merged over the venues it named
+// and, when the client asked for the breakdown, each venue's own.
+type scatterCounts struct {
+	Regions  regionCounts `json:"regions"`
+	Pairs    pairCounts   `json:"pairs"`
+	PerVenue []struct {
+		Venue   string       `json:"venue"`
+		Regions regionCounts `json:"regions"`
+		Pairs   pairCounts   `json:"pairs"`
+	} `json:"per_venue"`
+}
+
+// regionCounts and pairCounts decode through internal/query's strict
+// single-pass parser: a partial is thousands of rows, and reflecting
+// over each one was most of the router's CPU.
+type (
+	regionCounts []c2mn.RegionCount
+	pairCounts   []c2mn.PairCount
+)
+
+func (l *regionCounts) UnmarshalJSON(data []byte) (err error) {
+	*l, err = query.ParseRegionCounts(data)
+	return err
+}
+
+func (l *pairCounts) UnmarshalJSON(data []byte) (err error) {
+	*l, err = query.ParsePairCounts(data)
+	return err
+}
+
+// scatterPartial is one cached partial: the counts a backend returned
+// for (backend, venue group, sub-query), labeled with the ETag the
+// backend minted for them. Revalidation sends the ETag back as
+// If-None-Match; a 304 means no store generation in the group has
+// moved, so the cached counts are still exact.
 type scatterPartial struct {
-	etag string
-	res  c2mn.QueryResult
+	etag   string
+	counts scatterCounts
 }
 
 // scatterCacheEntries bounds the router's partial cache.
@@ -283,117 +317,195 @@ func paginate(res *c2mn.QueryResult, offset, size int) int {
 	return -1
 }
 
+// subAnswer is one fetched sub-query answer and the venues it covers.
+type subAnswer struct {
+	venues []string
+	counts scatterCounts
+}
+
+// venueCounts returns one covered venue's own untruncated counts: the
+// whole answer when it is the only venue, its per_venue row otherwise.
+func (p *subAnswer) venueCounts(id string) ([]c2mn.RegionCount, []c2mn.PairCount) {
+	if len(p.venues) == 1 {
+		return p.counts.Regions, p.counts.Pairs
+	}
+	for i := range p.counts.PerVenue {
+		if row := &p.counts.PerVenue[i]; row.Venue == id {
+			return row.Regions, row.Pairs
+		}
+	}
+	return nil, nil
+}
+
 // scatter executes a normalized multi-venue query across the fleet:
-// one untruncated single-venue partial per target venue, fetched from
-// the venue's owner in parallel, merged exactly. Fleet scope silently
-// skips venues that vanished since discovery (matching the registry's
-// own fleet semantics); an explicitly named venue that no backend
-// knows fails the whole query with ErrUnknownVenue.
+// the target venues are grouped by owner, each backend answers one
+// untruncated sub-query over its group in parallel, and the per-backend
+// lists merge exactly. Fleet scope silently skips venues that vanished
+// since discovery (matching the registry's own fleet semantics); an
+// explicitly named venue that no backend knows fails the whole query
+// with ErrUnknownVenue.
 func (rt *Router) scatter(ctx context.Context, nq c2mn.Query) (c2mn.QueryResult, error) {
-	fleet := nq.Scope == c2mn.ScopeFleet
 	ids := nq.Venues
-	if fleet {
+	if nq.Scope == c2mn.ScopeFleet {
 		ids = rt.knownVenues() // sorted: fleet Scanned is sorted
 	}
-	type partial struct {
-		res     c2mn.QueryResult
-		skipped bool
+	type venueGroup struct {
+		backend string
+		venues  []string
+		parts   []subAnswer
 		err     error
 	}
-	parts := make([]partial, len(ids))
+	var groups []*venueGroup
+	byBackend := map[string]*venueGroup{}
+	for _, id := range ids {
+		backend, err := rt.owner(id)
+		if err != nil {
+			return c2mn.QueryResult{}, fmt.Errorf("query venue %q: %w", id, err)
+		}
+		g := byBackend[backend]
+		if g == nil {
+			g = &venueGroup{backend: backend}
+			byBackend[backend] = g
+			groups = append(groups, g)
+		}
+		g.venues = append(g.venues, id)
+	}
 	var wg sync.WaitGroup
-	for i, id := range ids {
+	for _, g := range groups {
+		// Sorted, so the same group asks — and caches — the same bytes
+		// whatever order a venues-scoped request names it in.
+		slices.Sort(g.venues)
 		wg.Add(1)
-		go func(p *partial, id string) {
+		go func(g *venueGroup) {
 			defer wg.Done()
-			backend, err := rt.owner(id)
-			if err != nil {
-				p.err = err
-				return
-			}
-			sub := c2mn.Query{
-				Kind: nq.Kind, Scope: c2mn.ScopeVenue, Venues: []string{id},
-				Regions: nq.Regions, Window: nq.Window, K: query.AllCounts,
-			}
-			body, err := json.Marshal(queryRequest{Query: sub})
-			if err != nil {
-				p.err = err
-				return
-			}
-			// One cache entry per (backend, venue, sub-query): the
-			// canonical body pins venue/kind/regions/window, and the
-			// backend prefix keeps a migrated venue from validating
-			// against an ETag minted by its previous owner.
-			key := backend + "\x00" + string(body)
-			rt.partialMu.Lock()
-			cached, haveCached := rt.partials.Get(key)
-			rt.partialMu.Unlock()
-			inm := ""
-			if haveCached {
-				inm = cached.etag
-				rt.partialRevals.Add(1)
-			}
-			var resp queryResponse
-			etag, notModified, err := rt.backendJSONCond(ctx, http.MethodPost, backend+"/v1/query", body, inm, &resp)
-			if err != nil {
-				if fleet && errors.Is(err, c2mn.ErrUnknownVenue) {
-					p.skipped = true // unloaded between discovery and scan
-					return
-				}
-				p.err = err
-				return
-			}
-			if notModified {
-				rt.partialHits.Add(1)
-				p.res = cached.res
-				return
-			}
-			rt.partialMisses.Add(1)
-			p.res = resp.QueryResult
-			if etag != "" {
-				rt.partialMu.Lock()
-				rt.partials.Put(key, scatterPartial{etag: etag, res: resp.QueryResult})
-				rt.partialMu.Unlock()
-			}
-		}(&parts[i], id)
+			g.parts, g.err = rt.fetchGroup(ctx, g.backend, g.venues, nq)
+		}(g)
 	}
 	wg.Wait()
 
+	covering := make(map[string]*subAnswer, len(ids))
+	var regionLists [][]c2mn.RegionCount
+	var pairLists [][]c2mn.PairCount
+	for _, g := range groups {
+		if g.err != nil {
+			return c2mn.QueryResult{}, g.err
+		}
+		for i := range g.parts {
+			p := &g.parts[i]
+			regionLists = append(regionLists, p.counts.Regions)
+			pairLists = append(pairLists, p.counts.Pairs)
+			for _, id := range p.venues {
+				covering[id] = p
+			}
+		}
+	}
 	res := c2mn.QueryResult{Kind: nq.Kind, Scope: nq.Scope, K: nq.K, Scanned: make([]string, 0, len(ids))}
-	regionLists := make([][]c2mn.RegionCount, 0, len(ids))
-	pairLists := make([][]c2mn.PairCount, 0, len(ids))
-	for i := range parts {
-		p := &parts[i]
-		if p.err != nil {
-			return c2mn.QueryResult{}, fmt.Errorf("query venue %q: %w", ids[i], p.err)
+	for _, id := range ids {
+		p, ok := covering[id]
+		if !ok {
+			continue // skipped
 		}
-		if p.skipped {
-			continue
-		}
-		res.Scanned = append(res.Scanned, ids[i])
+		res.Scanned = append(res.Scanned, id)
 		if nq.PerVenue {
+			regions, pairs := p.venueCounts(id)
 			res.PerVenue = append(res.PerVenue, c2mn.VenueCounts{
-				Venue:   ids[i],
-				Regions: query.TruncateRegionCounts(p.res.Regions, nq.K),
-				Pairs:   query.TruncatePairCounts(p.res.Pairs, nq.K),
+				Venue:   id,
+				Regions: query.TruncateRegionCounts(regions, nq.K),
+				Pairs:   query.TruncatePairCounts(pairs, nq.K),
 			})
 		}
-		regionLists = append(regionLists, p.res.Regions)
-		pairLists = append(pairLists, p.res.Pairs)
 	}
 	switch nq.Kind {
 	case c2mn.QueryFrequentPairs:
-		res.Pairs = query.TruncatePairCounts(query.MergePairCounts(pairLists...), nq.K)
+		res.Pairs = query.MergeTopPairCounts(nq.K, pairLists...)
 		if res.Pairs == nil {
 			res.Pairs = []c2mn.PairCount{}
 		}
 	default:
-		res.Regions = query.TruncateRegionCounts(query.MergeRegionCounts(regionLists...), nq.K)
+		res.Regions = query.MergeTopRegionCounts(nq.K, regionLists...)
 		if res.Regions == nil {
 			res.Regions = []c2mn.RegionCount{}
 		}
 	}
 	return res, nil
+}
+
+// fetchGroup fetches one backend's share of a scatter. Normally that is
+// one sub-answer over the whole group. A backend that no longer knows
+// one of the venues refuses the group as a whole; under fleet scope the
+// group is then re-asked one venue at a time, so only the venue that
+// was unloaded between discovery and scan drops out.
+func (rt *Router) fetchGroup(ctx context.Context, backend string, venues []string, nq c2mn.Query) ([]subAnswer, error) {
+	counts, err := rt.fetchPartial(ctx, backend, venues, nq)
+	switch {
+	case err == nil:
+		return []subAnswer{{venues: venues, counts: counts}}, nil
+	case nq.Scope != c2mn.ScopeFleet || !errors.Is(err, c2mn.ErrUnknownVenue):
+		return nil, fmt.Errorf("query venues %q: %w", venues, err)
+	case len(venues) == 1:
+		return nil, nil
+	}
+	var parts []subAnswer
+	for _, id := range venues {
+		one, err := rt.fetchGroup(ctx, backend, []string{id}, nq)
+		if err != nil {
+			return nil, err
+		}
+		parts = append(parts, one...)
+	}
+	return parts, nil
+}
+
+// fetchPartial returns the exact untruncated counts of one backend's
+// venues for nq, from the partial cache when the backend confirms
+// with a 304 that none of their stores moved.
+func (rt *Router) fetchPartial(ctx context.Context, backend string, venues []string, nq c2mn.Query) (scatterCounts, error) {
+	sub := c2mn.Query{
+		Kind: nq.Kind, Scope: c2mn.ScopeVenue, Venues: venues,
+		Regions: nq.Regions, Window: nq.Window, K: query.AllCounts,
+	}
+	if len(venues) > 1 {
+		sub.Scope, sub.PerVenue = c2mn.ScopeVenues, nq.PerVenue
+	}
+	body, err := json.Marshal(queryRequest{Query: sub})
+	if err != nil {
+		return scatterCounts{}, err
+	}
+	// One cache entry per (backend, venue group, sub-query): the
+	// canonical body pins venues/kind/regions/window, and the backend
+	// prefix keeps a migrated venue's new group from validating against
+	// an ETag minted by its previous owner.
+	key := backend + "\x00" + string(body)
+	rt.partialMu.Lock()
+	cached, haveCached := rt.partials.Get(key)
+	rt.partialMu.Unlock()
+	inm := ""
+	if haveCached {
+		inm = cached.etag
+		rt.partialRevals.Add(1)
+	}
+	rt.subRequests.Add(1)
+	target := backend + "/v1/query"
+	buf, etag, notModified, err := rt.backendFetch(ctx, http.MethodPost, target, body, inm)
+	if err != nil {
+		return scatterCounts{}, err
+	}
+	if notModified {
+		rt.partialHits.Add(1)
+		return cached.counts, nil
+	}
+	rt.partialMisses.Add(1)
+	rt.decodedBytes.Add(int64(len(buf)))
+	var counts scatterCounts
+	if err := json.Unmarshal(buf, &counts); err != nil {
+		return scatterCounts{}, fmt.Errorf("POST %s: decoding response: %w", target, err)
+	}
+	if etag != "" {
+		rt.partialMu.Lock()
+		rt.partials.Put(key, scatterPartial{etag: etag, counts: counts})
+		rt.partialMu.Unlock()
+	}
+	return counts, nil
 }
 
 // handleTopKSugar serves the bare GET query sugars. Requests that

@@ -261,8 +261,8 @@ func mergeFolds(kind string, k int, folds map[string]notify.Answer) notify.Answe
 	}
 	return notify.Answer{
 		Kind:    kind,
-		Regions: query.TruncateRegionCounts(query.MergeRegionCounts(regionLists...), k),
-		Pairs:   query.TruncatePairCounts(query.MergePairCounts(pairLists...), k),
+		Regions: query.MergeTopRegionCounts(k, regionLists...),
+		Pairs:   query.MergeTopPairCounts(k, pairLists...),
 	}
 }
 

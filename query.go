@@ -281,12 +281,12 @@ func (vr *VenueRegistry) Query(ctx context.Context, q Query) (QueryResult, error
 	}
 	switch nq.Kind {
 	case QueryFrequentPairs:
-		res.Pairs = query.TruncatePairCounts(query.MergePairCounts(pairLists...), nq.K)
+		res.Pairs = query.MergeTopPairCounts(nq.K, pairLists...)
 		if res.Pairs == nil {
 			res.Pairs = []PairCount{}
 		}
 	default:
-		res.Regions = query.TruncateRegionCounts(query.MergeRegionCounts(regionLists...), nq.K)
+		res.Regions = query.MergeTopRegionCounts(nq.K, regionLists...)
 		if res.Regions == nil {
 			res.Regions = []RegionCount{}
 		}
