@@ -421,7 +421,7 @@ func TestRouterMigrationE2E(t *testing.T) {
 	// owner asks the router where a venue's traffic goes.
 	owner := func(venue string) string {
 		t.Helper()
-		resp := doJSON(t, http.MethodGet, rtr.base+"/admin/assignments", routerToken, nil)
+		resp := doJSON(t, http.MethodGet, rtr.base+"/v1/admin/assignments", routerToken, nil)
 		var body struct {
 			Assignments []struct {
 				Venue   string `json:"venue"`
@@ -566,7 +566,7 @@ func TestRouterMigrationE2E(t *testing.T) {
 	// rounds must have revalidated cached partials, and the duplicate
 	// query must have reused at least one via 304.
 	{
-		resp := doJSON(t, http.MethodGet, rtr.base+"/admin/backends", routerToken, nil)
+		resp := doJSON(t, http.MethodGet, rtr.base+"/v1/admin/backends", routerToken, nil)
 		var body struct {
 			ScatterCache struct {
 				Hits          int64 `json:"hits"`
@@ -607,7 +607,7 @@ func TestRouterMigrationE2E(t *testing.T) {
 
 	// Live traffic during the first migration: stream the withheld
 	// open-fragment tail into the venue that is NOT migrating, one
-	// record at a time, while /admin/migrate runs.
+	// record at a time, while /v1/admin/migrate runs.
 	other := "north"
 	if victims[0] == "north" {
 		other = "south"
@@ -622,7 +622,7 @@ func TestRouterMigrationE2E(t *testing.T) {
 	}()
 
 	for i, v := range victims {
-		resp := doJSON(t, http.MethodPost, rtr.base+"/admin/migrate", routerToken,
+		resp := doJSON(t, http.MethodPost, rtr.base+"/v1/admin/migrate", routerToken,
 			map[string]string{"venue": v, "to": b2.base})
 		var report struct {
 			Status string `json:"status"`
@@ -662,7 +662,7 @@ func TestRouterMigrationE2E(t *testing.T) {
 	b1.kill()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		resp := doJSON(t, http.MethodGet, rtr.base+"/admin/backends", routerToken, nil)
+		resp := doJSON(t, http.MethodGet, rtr.base+"/v1/admin/backends", routerToken, nil)
 		var body struct {
 			Backends []struct {
 				URL   string `json:"url"`

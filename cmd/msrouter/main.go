@@ -29,8 +29,7 @@
 // cutover and backend death via Last-Event-ID resume.
 //
 // Router-specific endpoints (the router's own admin plane lives under
-// /v1/admin/; the pre-consolidation /admin/* mounts stay as deprecated
-// aliases answering with Deprecation + successor-version Link headers):
+// /v1/admin/; outside /v1/ only the bare probes are mounted):
 //
 //	GET    /v1/admin/backends      backend table with health + hosted venues
 //	POST   /v1/admin/backends      {"url"}: add a backend
@@ -88,7 +87,7 @@ func main() {
 	addr := flag.String("addr", ":9090", "listen address")
 	backends := flag.String("backends", "", "comma-separated msserve base URLs (http://host:port)")
 	adminToken := flag.String("admin-token", os.Getenv("MSROUTER_ADMIN_TOKEN"),
-		"bearer token required on the router's /admin endpoints (empty = open)")
+		"bearer token required on the router's /v1/admin endpoints (empty = open)")
 	backendToken := flag.String("backend-token", os.Getenv("MSSERVE_ADMIN_TOKEN"),
 		"bearer token the router presents to backend admin endpoints during migrations")
 	healthInterval := flag.Duration("health-interval", 2*time.Second, "backend health-check period")

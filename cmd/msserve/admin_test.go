@@ -1,12 +1,11 @@
 package main
 
-// Tests for the consolidated /v1/admin surface: the single token
-// chokepoint, the deprecated aliases' steering headers, the typed
-// 404/405 envelope, and the retraining endpoints end to end.
+// Tests for the /v1/admin surface: the single token chokepoint, the
+// route inventory and the typed 404/405 the removed mounts answer, and
+// the retraining endpoints end to end.
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +13,7 @@ import (
 	"testing"
 
 	"c2mn"
+	"c2mn/internal/httpapi"
 	"c2mn/internal/sim"
 )
 
@@ -45,10 +45,10 @@ func doReq(t *testing.T, method, url, token string, body any) *http.Response {
 	return resp
 }
 
-func wireErrorOf(t *testing.T, resp *http.Response) wireError {
+func wireErrorOf(t *testing.T, resp *http.Response) httpapi.WireError {
 	t.Helper()
 	var body struct {
-		Error wireError `json:"error"`
+		Error httpapi.WireError `json:"error"`
 	}
 	defer resp.Body.Close()
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
@@ -57,45 +57,57 @@ func wireErrorOf(t *testing.T, resp *http.Response) wireError {
 	return body.Error
 }
 
-// TestAdminSurfaceToken pins the single chokepoint: every mutating
-// route — canonical /v1/admin, deprecated /v1 and bare legacy mounts
-// alike — refuses without the bearer token and proceeds with it.
+// adminMounts lists the /v1/admin routes of the route table.
+func adminMounts(t *testing.T, s *server) []struct{ method, path string } {
+	t.Helper()
+	var out []struct{ method, path string }
+	for _, rt := range s.routes() {
+		method, path, _ := strings.Cut(rt.pattern, " ")
+		if strings.HasPrefix(path, "/v1/admin/") {
+			// An unknown venue: with the token every handler runs, and
+			// none of them must find anything to unload or overwrite.
+			out = append(out, struct{ method, path string }{method, strings.ReplaceAll(path, "{venue}", "ghost")})
+		}
+	}
+	if len(out) != 10 {
+		t.Fatalf("route table holds %d /v1/admin mounts, want 10: %v", len(out), out)
+	}
+	return out
+}
+
+// TestAdminSurfaceToken pins the single chokepoint: every /v1/admin
+// mount refuses without the bearer token and clears auth with it, and
+// — authorized or not — answers Cache-Control: no-store, so a cache in
+// front of the token gate can never replay an authorized response.
 func TestAdminSurfaceToken(t *testing.T) {
 	registry, _ := testRegistry(t, "default")
-	ts := httptest.NewServer(newServer(registry, defaultMaxBody, "sesame"))
+	ts := httptest.NewServer(newServer(registry, defaultMaxBody, "sesame", withSnapshotDir(t.TempDir())))
 	defer ts.Close()
 
-	paths := []struct{ method, path string }{
-		{"POST", "/v1/admin/venues"},
-		{"DELETE", "/v1/admin/venues/default"},
-		{"POST", "/v1/admin/venues/default/snapshot"},
-		{"GET", "/v1/admin/venues/default/snapshot/file"},
-		{"PUT", "/v1/admin/venues/default/snapshot/file"},
-		{"POST", "/v1/admin/venues/default/drain"},
-		{"DELETE", "/v1/admin/venues/default/drain"},
-		{"POST", "/v1/admin/venues/default/retrain"},
-		{"GET", "/v1/admin/venues/default/retrain"},
-		{"POST", "/v1/admin/venues/default/feedback"},
-		// Deprecated aliases share the same check.
-		{"POST", "/v1/venues"},
-		{"DELETE", "/v1/venues/default"},
-		{"POST", "/v1/venues/default/drain"},
-		{"POST", "/venues"},
-		{"DELETE", "/venues/default"},
-	}
-	for _, p := range paths {
-		resp := doReq(t, p.method, ts.URL+p.path, "", nil)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusUnauthorized {
-			t.Errorf("%s %s without token: %d, want 401", p.method, p.path, resp.StatusCode)
-		}
-		if got := resp.Header.Get("WWW-Authenticate"); got != "Bearer" {
-			t.Errorf("%s %s WWW-Authenticate %q", p.method, p.path, got)
+	for _, p := range adminMounts(t, &server{}) {
+		for _, token := range []string{"", "wrong", "sesame"} {
+			resp := doReq(t, p.method, ts.URL+p.path, token, nil)
+			resp.Body.Close()
+			if got := resp.Header.Get("Cache-Control"); got != "no-store" {
+				t.Errorf("%s %s token %q: Cache-Control %q, want no-store", p.method, p.path, token, got)
+			}
+			if token == "sesame" {
+				if resp.StatusCode == http.StatusUnauthorized {
+					t.Errorf("%s %s with the token: still 401", p.method, p.path)
+				}
+				continue
+			}
+			if resp.StatusCode != http.StatusUnauthorized {
+				t.Errorf("%s %s token %q: %d, want 401", p.method, p.path, token, resp.StatusCode)
+			}
+			if got := resp.Header.Get("WWW-Authenticate"); got != "Bearer" {
+				t.Errorf("%s %s WWW-Authenticate %q", p.method, p.path, got)
+			}
 		}
 	}
 
-	// With the token the request clears auth and reaches the handler
-	// (drain: 200 on a loaded venue).
+	// With the token the request reaches the handler (drain: 200 on a
+	// loaded venue).
 	resp := doReq(t, "POST", ts.URL+"/v1/admin/venues/default/drain", "sesame", nil)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -108,43 +120,66 @@ func TestAdminSurfaceToken(t *testing.T) {
 	}
 }
 
-// TestAdminAliasHeaders: the pre-consolidation mounts steer to the
-// /v1/admin successor; the canonical tree carries no deprecation.
-func TestAdminAliasHeaders(t *testing.T) {
+// TestRouteInventory pins the one route generation: every mounted
+// pattern lives under /v1/ except the two bare probes, and every mount
+// an earlier release served outside that set answers the typed 404/405
+// with nothing steering anywhere.
+func TestRouteInventory(t *testing.T) {
 	registry, _ := testRegistry(t, "default")
 	ts := httptest.NewServer(newServer(registry, defaultMaxBody, ""))
 	defer ts.Close()
 
-	cases := []struct{ method, path, successor string }{
-		{"POST", "/v1/venues/default/drain", "/v1/admin/venues/default/drain"},
-		{"DELETE", "/v1/venues/default/drain", "/v1/admin/venues/default/drain"},
-		{"POST", "/venues", "/v1/admin/venues"},
-		{"POST", "/v1/venues", "/v1/admin/venues"},
-	}
-	for _, c := range cases {
-		resp := doReq(t, c.method, ts.URL+c.path, "", nil)
-		resp.Body.Close()
-		if got := resp.Header.Get("Deprecation"); got != "true" {
-			t.Errorf("%s %s Deprecation %q, want true", c.method, c.path, got)
+	for _, rt := range (&server{}).routes() {
+		method, path, ok := strings.Cut(rt.pattern, " ")
+		if !ok {
+			t.Errorf("pattern %q names no method", rt.pattern)
 		}
-		want := fmt.Sprintf("<%s>; rel=%q", c.successor, "successor-version")
-		if got := resp.Header.Get("Link"); got != want {
-			t.Errorf("%s %s Link %q, want %q", c.method, c.path, got, want)
+		if !strings.HasPrefix(path, "/v1/") && rt.pattern != "GET /healthz" && rt.pattern != "GET /readyz" {
+			t.Errorf("%s %s is mounted outside /v1/", method, path)
 		}
 	}
 
-	resp := doReq(t, "POST", ts.URL+"/v1/admin/venues/default/drain", "", nil)
-	resp.Body.Close()
-	if got := resp.Header.Get("Deprecation"); got != "" {
-		t.Errorf("canonical /v1/admin mount marked deprecated: %q", got)
+	for _, removed := range []struct {
+		method, path string
+		status       int
+	}{
+		// The unversioned data plane and admin.
+		{"POST", "/annotate", 404}, {"POST", "/feed", 404}, {"POST", "/flush", 404},
+		{"GET", "/query/popular-regions", 404}, {"GET", "/query/frequent-pairs", 404},
+		{"POST", "/venues/default/annotate", 404}, {"POST", "/venues/default/feed", 404},
+		{"POST", "/venues/default/flush", 404},
+		{"GET", "/venues/default/query/popular-regions", 404}, {"GET", "/venues/default/query/frequent-pairs", 404},
+		{"GET", "/venues/default/stats", 404}, {"GET", "/venues", 404}, {"GET", "/stats", 404},
+		{"POST", "/venues", 404}, {"DELETE", "/venues/default", 404},
+		// The pre-consolidation /v1 admin mounts. POST /v1/venues meets
+		// the listing's GET, hence 405.
+		{"POST", "/v1/venues", 405}, {"DELETE", "/v1/venues/default", 404},
+		{"POST", "/v1/venues/default/snapshot", 404},
+		{"GET", "/v1/venues/default/snapshot/file", 404}, {"PUT", "/v1/venues/default/snapshot/file", 404},
+		{"POST", "/v1/venues/default/drain", 404}, {"DELETE", "/v1/venues/default/drain", 404},
+	} {
+		resp := doReq(t, removed.method, ts.URL+removed.path, "", nil)
+		if resp.StatusCode != removed.status {
+			t.Errorf("%s %s: %d, want %d", removed.method, removed.path, resp.StatusCode, removed.status)
+		}
+		for _, h := range []string{"Deprecation", "Link"} {
+			if got := resp.Header.Get(h); got != "" {
+				t.Errorf("%s %s carries %s: %q", removed.method, removed.path, h, got)
+			}
+		}
+		want := map[int]string{404: "not_found", 405: "method_not_allowed"}[removed.status]
+		if we := wireErrorOf(t, resp); we.Code != want {
+			t.Errorf("%s %s: code %q, want %q", removed.method, removed.path, we.Code, want)
+		}
 	}
-	resp = doReq(t, "DELETE", ts.URL+"/v1/admin/venues/default/drain", "", nil)
-	resp.Body.Close()
+	if registry.Len() != 1 {
+		t.Fatal("a removed mount still reached a handler")
+	}
 }
 
-// TestV1ErrorEnvelope405And404: the mux's own plain-text errors under
-// /v1 carry the typed envelope, the 405's Allow header survives, and
-// non-/v1 paths keep the stock plain responses.
+// TestV1ErrorEnvelope405And404: the mux's own plain-text errors carry
+// the typed envelope on every path, and the 405's Allow header
+// survives.
 func TestV1ErrorEnvelope405And404(t *testing.T) {
 	registry, _ := testRegistry(t, "default")
 	ts := httptest.NewServer(newServer(registry, defaultMaxBody, ""))
@@ -177,14 +212,13 @@ func TestV1ErrorEnvelope405And404(t *testing.T) {
 		t.Fatalf("404 code %q, want not_found", we.Code)
 	}
 
-	// Legacy surface keeps the stock mux behaviour.
+	// Paths outside /v1 get the same envelope.
 	resp = doReq(t, "GET", ts.URL+"/nope", "", nil)
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("GET /nope: %d, want 404", resp.StatusCode)
 	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("legacy 404 Content-Type %q, want text/plain passthrough", ct)
+	if we := wireErrorOf(t, resp); we.Code != "not_found" {
+		t.Fatalf("GET /nope code %q, want not_found", we.Code)
 	}
 }
 

@@ -228,7 +228,7 @@ func TestSnapshotRoundtripE2E(t *testing.T) {
 
 	// Exercise the explicit trigger for one venue; the drain snapshot
 	// covers both anyway.
-	resp = postJSON(t, base+"/v1/venues/north/snapshot", nil)
+	resp = postJSON(t, base+"/v1/admin/venues/north/snapshot", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("snapshot trigger: %s", resp.Status)
 	}

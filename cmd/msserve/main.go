@@ -54,13 +54,8 @@
 //	POST   /v1/admin/venues/{venue}/retrain        run one retraining cycle now (optional truth body)
 //	GET    /v1/admin/venues/{venue}/retrain        the venue's retraining loop status + audit log
 //
-// The pre-consolidation admin mounts (POST /v1/venues, the snapshot,
-// drain and legacy bare paths) stay as deprecated aliases onto the
-// same handlers and the same token check, with Deprecation/Link
-// headers steering to the /v1/admin successor. The retraining
-// endpoints are new with the consolidation, so they exist only under
-// /v1/admin and answer 409 "retrain_disabled" unless msserve runs
-// with -retrain.
+// The retraining endpoints answer 409 "retrain_disabled" unless
+// msserve runs with -retrain.
 //
 // Query responses carry an ETag freshness validator derived from the
 // scanned venues' store generations — `"<venue>:<generation>"` for a
@@ -71,10 +66,12 @@
 // store_generation. cmd/msrouter's scatter-gather revalidates its
 // cached per-venue partials through this contract.
 //
-// /v1 errors are typed: {"error": {"code": "unknown_venue", ...}}.
-// Requests carrying an X-Request-ID header get it echoed on the
-// response and embedded in /v1 error payloads, so a failure observed
-// behind a routing tier is correlatable across both log streams.
+// Errors are typed: {"error": {"code": "unknown_venue", ...}}, the
+// mux's own 404/405 included. Requests carrying an X-Request-ID header
+// get it echoed on the response and embedded in error payloads, so a
+// failure observed behind a routing tier is correlatable across both
+// log streams. Nothing is mounted outside /v1/ except the bare
+// /healthz and /readyz probes.
 //
 // Draining a venue is the first step of a live migration (see
 // cmd/msrouter): a drained venue rejects new /feed traffic with
@@ -85,18 +82,13 @@
 // uploaded snapshot into a venue with no live state — PR 5's
 // venue/space/model-hash guards turn a misrouted upload into a typed
 // 409/422, never corruption.
-// The unversioned paths from earlier releases stay mounted as
-// deprecated aliases onto the same handlers — identical behaviour and
-// flat {"error": "..."} payloads, plus Deprecation/Link headers
-// pointing at the /v1 successor.
 //
 // Everything under /v1/admin/ is destructive (it replaces or discards
 // a venue's live state, reads server-side files, or rotates the
 // serving model); gate the tree with -admin-token (or the
 // MSSERVE_ADMIN_TOKEN environment variable), which requires
-// "Authorization: Bearer <token>" on those endpoints and their
-// deprecated aliases. Leave it empty only behind an authenticating
-// proxy.
+// "Authorization: Bearer <token>" on those endpoints. Leave it empty
+// only behind an authenticating proxy.
 //
 // With -retrain, each venue runs the closed-loop retraining plane:
 // every streamed inference feeds a PSI drift detector and bounded
@@ -138,13 +130,10 @@ package main
 import (
 	"bytes"
 	"context"
-	"crypto/subtle"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"math"
 	"math/rand"
@@ -155,7 +144,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -165,6 +153,7 @@ import (
 	"time"
 
 	"c2mn"
+	"c2mn/internal/httpapi"
 	"c2mn/internal/notify"
 )
 
@@ -693,13 +682,10 @@ func withWatchShutdown(ch chan struct{}) serverOption {
 	return func(s *server) { s.watchShutdown = ch }
 }
 
-// newServer builds the route table: the canonical versioned surface
-// under /v1/ plus the pre-versioning unversioned paths, kept as
-// deprecated aliases onto the same handlers. maxBody caps every
-// request body. A non-empty adminToken gates the mutating admin
-// endpoints (venue load/unload) behind `Authorization: Bearer
-// <token>`; empty leaves them open, for deployments fronted by their
-// own auth.
+// newServer builds the handler over the route table (see routes).
+// maxBody caps every request body. A non-empty adminToken gates the
+// /v1/admin tree behind `Authorization: Bearer <token>`; empty leaves
+// it open, for deployments fronted by their own auth.
 func newServer(registry *c2mn.VenueRegistry, maxBody int64, adminToken string, opts ...serverOption) http.Handler {
 	s := &server{
 		registry: registry, maxBody: maxBody, adminToken: adminToken, retryAfterSecs: "1",
@@ -722,80 +708,9 @@ func newServer(registry *c2mn.VenueRegistry, maxBody int64, adminToken string, o
 		s.watchHeartbeat = defaultWatchHeartbeat
 	}
 	mux := http.NewServeMux()
-	routes := []struct {
-		pattern string
-		h       http.HandlerFunc
-	}{
-		// Bare data-plane paths: venue from ?venue=, or the sole venue;
-		// the query GETs also accept ?venues=a,b and ?scope=fleet.
-		{"POST /annotate", s.handleAnnotate},
-		{"POST /feed", s.handleFeed},
-		{"POST /flush", s.handleFlush},
-		{"GET /query/popular-regions", s.handlePopularRegions},
-		{"GET /query/frequent-pairs", s.handleFrequentPairs},
-		// Venue-scoped equivalents with the venue as a path segment.
-		{"POST /venues/{venue}/annotate", s.handleAnnotate},
-		{"POST /venues/{venue}/feed", s.handleFeed},
-		{"POST /venues/{venue}/flush", s.handleFlush},
-		{"GET /venues/{venue}/query/popular-regions", s.handlePopularRegions},
-		{"GET /venues/{venue}/query/frequent-pairs", s.handleFrequentPairs},
-		{"GET /venues/{venue}/stats", s.handleVenueStats},
-		// Read-only listing and probes.
-		{"GET /venues", s.handleListVenues},
-		{"GET /stats", s.handleStats},
-		{"GET /healthz", s.handleHealthz},
+	for _, rt := range s.routes() {
+		mux.HandleFunc(rt.pattern, rt.h)
 	}
-	for _, rt := range routes {
-		method, path, _ := strings.Cut(rt.pattern, " ")
-		mux.HandleFunc(method+" /v1"+path, rt.h)
-		mux.HandleFunc(rt.pattern, deprecated(rt.h))
-	}
-	// The mutating admin plane lives under /v1/admin/, every route
-	// behind the one token check in s.admin. The pre-consolidation
-	// mounts — the /v1 paths these operations first shipped on, and
-	// the bare legacy venue load/unload — stay as deprecated aliases
-	// onto the same wrapped handlers, steering to the /v1/admin
-	// successor.
-	adminRoutes := []struct {
-		pattern string
-		h       http.HandlerFunc
-	}{
-		{"POST /venues", s.handleLoadVenue},
-		{"DELETE /venues/{venue}", s.handleUnloadVenue},
-		{"POST /venues/{venue}/snapshot", s.handleSnapshotVenue},
-		{"GET /venues/{venue}/snapshot/file", s.handleGetSnapshotFile},
-		{"PUT /venues/{venue}/snapshot/file", s.handlePutSnapshotFile},
-		{"POST /venues/{venue}/drain", s.handleDrainVenue},
-		{"DELETE /venues/{venue}/drain", s.handleUndrainVenue},
-	}
-	for _, rt := range adminRoutes {
-		method, path, _ := strings.Cut(rt.pattern, " ")
-		h := s.admin(rt.h)
-		mux.HandleFunc(method+" /v1/admin"+path, h)
-		mux.HandleFunc(method+" /v1"+path, deprecatedAdmin(h))
-	}
-	mux.HandleFunc("POST /venues", deprecatedAdmin(s.admin(s.handleLoadVenue)))
-	mux.HandleFunc("DELETE /venues/{venue}", deprecatedAdmin(s.admin(s.handleUnloadVenue)))
-	// The retraining plane is new with the /v1/admin consolidation:
-	// canonical paths only, no aliases.
-	mux.HandleFunc("POST /v1/admin/venues/{venue}/retrain", s.admin(s.handleRetrain))
-	mux.HandleFunc("GET /v1/admin/venues/{venue}/retrain", s.admin(s.handleRetrainStatus))
-	mux.HandleFunc("POST /v1/admin/venues/{venue}/feedback", s.admin(s.handleRetrainFeedback))
-	// Model identity is read-only data plane: which model is this
-	// venue serving with right now.
-	mux.HandleFunc("GET /v1/venues/{venue}/model", s.handleVenueModel)
-	// The unified query endpoint is v1-only: it is the API the
-	// versioning exists for.
-	mux.HandleFunc("POST /v1/query", s.handleQuery)
-	// Readiness is new with the routing tier, so it has no deprecated
-	// unversioned twin; the bare path is mounted for plain probes, not
-	// as a legacy alias.
-	mux.HandleFunc("GET /v1/readyz", s.handleReadyz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	// The continuous-query endpoint is v1-only like /v1/query: same
-	// composable scope surface, push instead of poll (see watch.go).
-	mux.HandleFunc("GET /v1/watch", s.handleWatch)
-	mux.HandleFunc("GET /v1/venues/{venue}/watch", s.handleWatch)
 
 	// Retraining hooks into the serving tier: cycles are vetoed while
 	// the venue drains for migration (the frozen state is about to
@@ -806,7 +721,7 @@ func newServer(registry *c2mn.VenueRegistry, maxBody int64, adminToken string, o
 	// no-ops when the registry runs without a retrain policy.
 	registry.SetRetrainGate(func(venue string) error {
 		if _, draining := s.drainState(venue); draining {
-			return fmt.Errorf("%w: venue %q", errVenueDraining, venue)
+			return fmt.Errorf("%w: venue %q", httpapi.ErrVenueDraining, venue)
 		}
 		return nil
 	})
@@ -819,130 +734,67 @@ func newServer(registry *c2mn.VenueRegistry, maxBody int64, adminToken string, o
 		log.Printf("venue %q hot-swapped retrained model %s (CA %.3f > %.3f)",
 			d.Venue, d.ModelHash, d.CandidateCA, d.IncumbentCA)
 	})
-	return echoRequestID(v1Envelope(mux))
+	return httpapi.Wrap(mux)
 }
 
-// admin wraps a mutating admin handler behind the bearer-token check:
-// the single auth chokepoint for the /v1/admin tree and its deprecated
-// aliases.
-func (s *server) admin(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if !s.authorizeAdmin(w, r) {
-			return
-		}
-		h(w, r)
+// route is one mounted pattern of the route table.
+type route struct {
+	pattern string
+	h       http.HandlerFunc
+}
+
+// routes lists everything the server mounts: the versioned surface
+// under /v1/ and, outside it, only the bare probes.
+func (s *server) routes() []route {
+	routes := []route{
+		// Bare data-plane paths: venue from ?venue=, or the sole venue;
+		// the query GETs also accept ?venues=a,b and ?scope=fleet.
+		{"POST /v1/annotate", s.handleAnnotate},
+		{"POST /v1/feed", s.handleFeed},
+		{"POST /v1/flush", s.handleFlush},
+		{"GET /v1/query/popular-regions", s.handlePopularRegions},
+		{"GET /v1/query/frequent-pairs", s.handleFrequentPairs},
+		// Venue-scoped equivalents with the venue as a path segment.
+		{"POST /v1/venues/{venue}/annotate", s.handleAnnotate},
+		{"POST /v1/venues/{venue}/feed", s.handleFeed},
+		{"POST /v1/venues/{venue}/flush", s.handleFlush},
+		{"GET /v1/venues/{venue}/query/popular-regions", s.handlePopularRegions},
+		{"GET /v1/venues/{venue}/query/frequent-pairs", s.handleFrequentPairs},
+		{"GET /v1/venues/{venue}/stats", s.handleVenueStats},
+		// Model identity: which model is this venue serving with right now.
+		{"GET /v1/venues/{venue}/model", s.handleVenueModel},
+		// The unified query endpoint and its push twin: same composable
+		// scope surface, push instead of poll (see watch.go).
+		{"POST /v1/query", s.handleQuery},
+		{"GET /v1/watch", s.handleWatch},
+		{"GET /v1/venues/{venue}/watch", s.handleWatch},
+		// Read-only listing and probes. The bare probe paths are for
+		// plain liveness/readiness checks (the router probes /readyz).
+		{"GET /v1/venues", s.handleListVenues},
+		{"GET /v1/stats", s.handleStats},
+		{"GET /v1/healthz", s.handleHealthz},
+		{"GET /healthz", s.handleHealthz},
+		{"GET /v1/readyz", s.handleReadyz},
+		{"GET /readyz", s.handleReadyz},
 	}
-}
-
-// deprecatedAdmin marks a pre-consolidation admin mount: same wrapped
-// handler as its /v1/admin twin, plus RFC 8594-style headers steering
-// to the consolidated successor (for both /v1 and bare legacy paths).
-func deprecatedAdmin(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</v1/admin`+strings.TrimPrefix(r.URL.Path, "/v1")+`>; rel="successor-version"`)
-		h(w, r)
+	// The mutating admin plane lives under /v1/admin/, every route
+	// behind the one token check.
+	for _, rt := range []route{
+		{"POST /v1/admin/venues", s.handleLoadVenue},
+		{"DELETE /v1/admin/venues/{venue}", s.handleUnloadVenue},
+		{"POST /v1/admin/venues/{venue}/snapshot", s.handleSnapshotVenue},
+		{"GET /v1/admin/venues/{venue}/snapshot/file", s.handleGetSnapshotFile},
+		{"PUT /v1/admin/venues/{venue}/snapshot/file", s.handlePutSnapshotFile},
+		{"POST /v1/admin/venues/{venue}/drain", s.handleDrainVenue},
+		{"DELETE /v1/admin/venues/{venue}/drain", s.handleUndrainVenue},
+		{"POST /v1/admin/venues/{venue}/retrain", s.handleRetrain},
+		{"GET /v1/admin/venues/{venue}/retrain", s.handleRetrainStatus},
+		{"POST /v1/admin/venues/{venue}/feedback", s.handleRetrainFeedback},
+	} {
+		routes = append(routes, route{rt.pattern, httpapi.Admin(s.adminToken, rt.h)})
 	}
+	return routes
 }
-
-// requestIDHeader correlates a request across the routing tier and
-// the venue backends: the router generates an ID when the client sent
-// none, msserve echoes whatever arrives, and both embed it in /v1
-// error payloads.
-const requestIDHeader = "X-Request-ID"
-
-// echoRequestID reflects an inbound X-Request-ID onto the response,
-// so a client (or the router) can match answers to requests across
-// process boundaries.
-func echoRequestID(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if id := r.Header.Get(requestIDHeader); id != "" {
-			w.Header().Set(requestIDHeader, id)
-		}
-		h.ServeHTTP(w, r)
-	})
-}
-
-// v1Envelope upgrades the mux's own error responses under /v1 — the
-// text/plain 404s and auto-405s ServeMux writes for unmatched paths
-// and wrong methods — to the typed JSON envelope every other /v1
-// error carries. Handler-written responses pass through untouched:
-// our handlers always set a non-text Content-Type before writing, so
-// the text/plain sniff only ever matches the mux's (and http.Error's)
-// own output. The mux's Allow header on a 405 survives, since headers
-// are shared with the underlying writer.
-func v1Envelope(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !isV1(r) {
-			h.ServeHTTP(w, r)
-			return
-		}
-		ew := &envelopeWriter{ResponseWriter: w, r: r}
-		h.ServeHTTP(ew, r)
-		ew.finish()
-	})
-}
-
-// envelopeWriter intercepts a plain-text 404/405 at WriteHeader time,
-// swallows its body, and lets finish rewrite it as the typed
-// envelope. Everything else streams straight through.
-type envelopeWriter struct {
-	http.ResponseWriter
-	r         *http.Request
-	intercept bool
-	status    int
-	wrote     bool
-}
-
-func (ew *envelopeWriter) WriteHeader(status int) {
-	if ew.wrote || ew.intercept {
-		return
-	}
-	if (status == http.StatusNotFound || status == http.StatusMethodNotAllowed) &&
-		strings.HasPrefix(ew.Header().Get("Content-Type"), "text/plain") {
-		ew.intercept = true
-		ew.status = status
-		return
-	}
-	ew.wrote = true
-	ew.ResponseWriter.WriteHeader(status)
-}
-
-func (ew *envelopeWriter) Write(b []byte) (int, error) {
-	if ew.intercept {
-		// Drop the plain-text body; finish writes the envelope.
-		return len(b), nil
-	}
-	ew.wrote = true
-	return ew.ResponseWriter.Write(b)
-}
-
-func (ew *envelopeWriter) finish() {
-	if !ew.intercept {
-		return
-	}
-	h := ew.Header()
-	h.Del("X-Content-Type-Options")
-	msg := "no route matches " + ew.r.Method + " " + ew.r.URL.Path
-	if ew.status == http.StatusMethodNotAllowed {
-		msg = ew.r.Method + " not allowed on " + ew.r.URL.Path
-		if allow := h.Get("Allow"); allow != "" {
-			msg += " (allowed: " + allow + ")"
-		}
-	}
-	writeError(ew.ResponseWriter, ew.r, ew.status, errors.New(msg))
-}
-
-// Flush and Unwrap keep the streaming surface (/v1/watch) working
-// through the wrapper: internal/notify's SSE writer resolves its
-// flusher via http.NewResponseController's Unwrap chain.
-func (ew *envelopeWriter) Flush() {
-	if f, ok := ew.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func (ew *envelopeWriter) Unwrap() http.ResponseWriter { return ew.ResponseWriter }
 
 // handleSnapshotVenue serves the admin snapshot trigger: persist one
 // venue's live state to the -snapshot-dir now (on top of the periodic
@@ -950,7 +802,7 @@ func (ew *envelopeWriter) Unwrap() http.ResponseWriter { return ew.ResponseWrite
 // migration. Token-gated like the other mutating admin endpoints.
 func (s *server) handleSnapshotVenue(w http.ResponseWriter, r *http.Request) {
 	if s.snapshotDir == "" {
-		writeError(w, r, http.StatusConflict,
+		httpapi.WriteError(w, r, http.StatusConflict,
 			errors.New("snapshot persistence disabled: start msserve with -snapshot-dir"))
 		return
 	}
@@ -967,11 +819,11 @@ func (s *server) handleSnapshotVenue(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, c2mn.ErrUnknownVenue) {
 			status = http.StatusNotFound
 		}
-		writeError(w, r, status, err)
+		httpapi.WriteError(w, r, status, err)
 		return
 	}
 	s.snaps.record(id, stats)
-	writeJSON(w, http.StatusOK, map[string]string{"venue": id, "status": "snapshotted", "path": path})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]string{"venue": id, "status": "snapshotted", "path": path})
 }
 
 // handleGetSnapshotFile streams a venue's on-disk snapshot bytes —
@@ -981,7 +833,7 @@ func (s *server) handleSnapshotVenue(w http.ResponseWriter, r *http.Request) {
 // venue's full serving state.
 func (s *server) handleGetSnapshotFile(w http.ResponseWriter, r *http.Request) {
 	if s.snapshotDir == "" {
-		writeError(w, r, http.StatusConflict,
+		httpapi.WriteError(w, r, http.StatusConflict,
 			errors.New("snapshot persistence disabled: start msserve with -snapshot-dir"))
 		return
 	}
@@ -990,17 +842,17 @@ func (s *server) handleGetSnapshotFile(w http.ResponseWriter, r *http.Request) {
 	f, err := os.Open(path)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			writeError(w, r, http.StatusNotFound,
-				fmt.Errorf("no snapshot file for venue %q (trigger POST /v1/venues/%s/snapshot first)", id, id))
+			httpapi.WriteError(w, r, http.StatusNotFound,
+				fmt.Errorf("no snapshot file for venue %q (trigger POST /v1/admin/venues/%s/snapshot first)", id, id))
 			return
 		}
-		writeError(w, r, http.StatusInternalServerError, err)
+		httpapi.WriteError(w, r, http.StatusInternalServerError, err)
 		return
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, err)
+		httpapi.WriteError(w, r, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -1019,28 +871,21 @@ func (s *server) handlePutSnapshotFile(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("venue")
 	e, err := s.registry.Engine(id)
 	if err != nil {
-		writeError(w, r, http.StatusNotFound, err)
+		httpapi.WriteError(w, r, http.StatusNotFound, err)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, r, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("snapshot exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		writeError(w, r, http.StatusBadRequest, fmt.Errorf("reading snapshot: %w", err))
+	body, ok := httpapi.ReadBody(w, r, s.maxBody, "snapshot")
+	if !ok {
 		return
 	}
 	if err := e.RestoreSnapshot(bytes.NewReader(body)); err != nil {
 		switch {
 		case errors.Is(err, c2mn.ErrSnapshotMismatch), errors.Is(err, c2mn.ErrSnapshotConflict):
-			writeError(w, r, http.StatusConflict, err)
+			httpapi.WriteError(w, r, http.StatusConflict, err)
 		case errors.Is(err, c2mn.ErrSnapshotCorrupt), errors.Is(err, c2mn.ErrSnapshotVersion):
-			writeError(w, r, http.StatusUnprocessableEntity, err)
+			httpapi.WriteError(w, r, http.StatusUnprocessableEntity, err)
 		default:
-			writeError(w, r, http.StatusInternalServerError, err)
+			httpapi.WriteError(w, r, http.StatusInternalServerError, err)
 		}
 		return
 	}
@@ -1057,13 +902,8 @@ func (s *server) handlePutSnapshotFile(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.snaps.record(id, e.Stats())
-	writeJSON(w, http.StatusOK, map[string]any{"venue": id, "status": "restored", "bytes": len(body)})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"venue": id, "status": "restored", "bytes": len(body)})
 }
-
-// errVenueDraining marks feed rejections against a draining venue, so
-// the typed /v1 error code distinguishes a migration pause from a
-// client mistake.
-var errVenueDraining = errors.New("venue is draining")
 
 // handleDrainVenue marks a venue draining: new /feed traffic is
 // rejected (503 + Retry-After without a cutover target, 307 → the
@@ -1075,23 +915,19 @@ var errVenueDraining = errors.New("venue is draining")
 func (s *server) handleDrainVenue(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("venue")
 	if _, err := s.registry.Engine(id); err != nil {
-		writeError(w, r, http.StatusNotFound, err)
+		httpapi.WriteError(w, r, http.StatusNotFound, err)
 		return
 	}
 	var req struct {
 		RedirectTo string `json:"redirect_to"`
 	}
-	if r.ContentLength != 0 {
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
-		if err := dec.Decode(&req); err != nil {
-			writeError(w, r, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-			return
-		}
+	if r.ContentLength != 0 && !httpapi.DecodeBody(w, r, s.maxBody, &req) {
+		return
 	}
 	s.drainMu.Lock()
 	s.draining[id] = strings.TrimSuffix(req.RedirectTo, "/")
 	s.drainMu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]string{"venue": id, "status": "draining", "redirect_to": req.RedirectTo})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]string{"venue": id, "status": "draining", "redirect_to": req.RedirectTo})
 }
 
 // handleUndrainVenue cancels a drain (aborted migration): the venue
@@ -1103,10 +939,10 @@ func (s *server) handleUndrainVenue(w http.ResponseWriter, r *http.Request) {
 	delete(s.draining, id)
 	s.drainMu.Unlock()
 	if !was {
-		writeError(w, r, http.StatusNotFound, fmt.Errorf("venue %q is not draining", id))
+		httpapi.WriteError(w, r, http.StatusNotFound, fmt.Errorf("venue %q is not draining", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"venue": id, "status": "accepting"})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]string{"venue": id, "status": "accepting"})
 }
 
 // handleReadyz is the readiness probe: 200 while the process should
@@ -1114,28 +950,17 @@ func (s *server) handleUndrainVenue(w http.ResponseWriter, r *http.Request) {
 // warm boot completed). Liveness (/healthz) is deliberately separate
 // and never flips — a draining process is still alive.
 func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	noStore(w)
+	httpapi.NoStore(w)
 	if s.ready.Load() {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 		return
 	}
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-}
-
-// deprecated marks a legacy unversioned route: same handler as its
-// /v1 twin, plus RFC 8594-style headers steering clients to the
-// successor.
-func deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</v1`+r.URL.Path+`>; rel="successor-version"`)
-		h(w, r)
-	}
+	httpapi.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 }
 
 func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	noStore(w)
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	httpapi.NoStore(w)
+	httpapi.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // venueID resolves the request's venue: the path segment, then the
@@ -1162,12 +987,12 @@ func (s *server) venueID(r *http.Request) (string, error) {
 func (s *server) engine(w http.ResponseWriter, r *http.Request) (*c2mn.Engine, string, bool) {
 	id, err := s.venueID(r)
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
+		httpapi.WriteError(w, r, http.StatusBadRequest, err)
 		return nil, "", false
 	}
 	e, err := s.registry.Engine(id)
 	if err != nil {
-		writeError(w, r, http.StatusNotFound, err)
+		httpapi.WriteError(w, r, http.StatusNotFound, err)
 		return nil, "", false
 	}
 	return e, id, true
@@ -1231,7 +1056,7 @@ func (s *server) handleAnnotate(w http.ResponseWriter, r *http.Request) {
 	for i, ev := range labels.Events {
 		resp.Events[i] = ev.String()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 type feedResponse struct {
@@ -1251,13 +1076,13 @@ func (s *server) handleFeed(w http.ResponseWriter, r *http.Request) {
 		// at the new owner (follow the redirect with the same body).
 		if redirect != "" {
 			w.Header().Set("Location", redirect+"/v1/venues/"+url.PathEscape(venue)+"/feed")
-			writeError(w, r, http.StatusTemporaryRedirect,
-				fmt.Errorf("%w: venue %q moved to %s", errVenueDraining, venue, redirect))
+			httpapi.WriteError(w, r, http.StatusTemporaryRedirect,
+				fmt.Errorf("%w: venue %q moved to %s", httpapi.ErrVenueDraining, venue, redirect))
 			return
 		}
 		w.Header().Set("Retry-After", "1")
-		writeError(w, r, http.StatusServiceUnavailable,
-			fmt.Errorf("%w: venue %q is migrating, retry shortly", errVenueDraining, venue))
+		httpapi.WriteError(w, r, http.StatusServiceUnavailable,
+			fmt.Errorf("%w: venue %q is migrating, retry shortly", httpapi.ErrVenueDraining, venue))
 		return
 	}
 	req, ok := s.decodeSequence(w, r)
@@ -1275,7 +1100,7 @@ func (s *server) handleFeed(w http.ResponseWriter, r *http.Request) {
 		s.writeIngestError(w, r, err, feedResponse{Venue: venue, Fed: len(p.Records), CompletedSequences: completed})
 		return
 	}
-	writeJSON(w, http.StatusOK, feedResponse{
+	httpapi.WriteJSON(w, http.StatusOK, feedResponse{
 		Venue:              venue,
 		Fed:                len(p.Records),
 		CompletedSequences: completed,
@@ -1295,10 +1120,9 @@ func (s *server) writeIngestError(w http.ResponseWriter, r *http.Request, err er
 	writeErrorWith(w, r, status, err, payload)
 }
 
-// writeErrorWith writes an error next to a partial-success payload's
-// fields, in the route tree's envelope style: a typed error object on
-// /v1, the flat error string on legacy routes. payload must marshal
-// to a JSON object without an "error" key.
+// writeErrorWith writes the typed error next to a partial-success
+// payload's fields. payload must marshal to a JSON object without an
+// "error" key.
 func writeErrorWith(w http.ResponseWriter, r *http.Request, status int, err error, payload any) {
 	body := map[string]any{}
 	if buf, merr := json.Marshal(payload); merr == nil {
@@ -1306,15 +1130,8 @@ func writeErrorWith(w http.ResponseWriter, r *http.Request, status int, err erro
 		// the error below.
 		json.Unmarshal(buf, &body)
 	}
-	if isV1(r) {
-		body["error"] = wireError{
-			Code: errorCode(status, err), Message: err.Error(),
-			RequestID: r.Header.Get(requestIDHeader),
-		}
-	} else {
-		body["error"] = err.Error()
-	}
-	writeJSON(w, status, body)
+	body["error"] = httpapi.ErrorOf(r, status, err)
+	httpapi.WriteJSON(w, status, body)
 }
 
 type flushResponse struct {
@@ -1344,7 +1161,7 @@ func (s *server) handleFlush(w http.ResponseWriter, r *http.Request) {
 		e, err := s.registry.Engine(id)
 		if err != nil {
 			if explicit {
-				writeError(w, r, http.StatusNotFound, err)
+				httpapi.WriteError(w, r, http.StatusNotFound, err)
 				return
 			}
 			continue // unloaded between listing and flush
@@ -1361,83 +1178,7 @@ func (s *server) handleFlush(w http.ResponseWriter, r *http.Request) {
 		s.writeIngestError(w, r, errors.Join(errs...), resp)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// The unified query endpoint. The request embeds the library's Query
-// verbatim plus cursor-style pagination: page_size bounds one page of
-// the ranked list, and the opaque cursor returned with a partial page
-// fetches the next one (the follow-up request carries only cursor,
-// and optionally a new page_size).
-type queryRequest struct {
-	c2mn.Query
-	PageSize int    `json:"page_size,omitempty"`
-	Cursor   string `json:"cursor,omitempty"`
-}
-
-type queryResponse struct {
-	c2mn.QueryResult
-	Offset     int    `json:"offset,omitempty"`
-	NextCursor string `json:"next_cursor,omitempty"`
-}
-
-// queryCursor is the decoded pagination cursor: the original query
-// plus the resume position. It is stateless — each page re-runs the
-// query — so pages concatenate to the unpaginated answer as long as
-// the underlying stores are quiescent between pages.
-type queryCursor struct {
-	Query    c2mn.Query `json:"q"`
-	PageSize int        `json:"page_size"`
-	Offset   int        `json:"offset"`
-}
-
-func encodeCursor(c queryCursor) (string, error) {
-	buf, err := json.Marshal(c)
-	if err != nil {
-		return "", err
-	}
-	return base64.RawURLEncoding.EncodeToString(buf), nil
-}
-
-func decodeCursor(s string) (queryCursor, error) {
-	var c queryCursor
-	buf, err := base64.RawURLEncoding.DecodeString(s)
-	if err != nil {
-		return c, fmt.Errorf("bad cursor: %w", err)
-	}
-	if err := json.Unmarshal(buf, &c); err != nil {
-		return c, fmt.Errorf("bad cursor: %w", err)
-	}
-	if c.PageSize <= 0 || c.Offset < 0 {
-		return c, errors.New("bad cursor: invalid page bounds")
-	}
-	return c, nil
-}
-
-// paginate slices the result's ranked list to [offset, offset+size)
-// and returns the next page's offset, or -1 when this page exhausts
-// the list. The bounds arithmetic never computes offset+size directly
-// — a forged cursor can carry offset near MaxInt, and the sum would
-// wrap negative and panic the slice expression.
-func paginate(res *c2mn.QueryResult, offset, size int) int {
-	if res.Kind == c2mn.QueryFrequentPairs {
-		n := len(res.Pairs)
-		lo := min(offset, n)
-		hi := lo + min(size, n-lo)
-		res.Pairs = res.Pairs[lo:hi]
-		if hi < n {
-			return hi
-		}
-		return -1
-	}
-	n := len(res.Regions)
-	lo := min(offset, n)
-	hi := lo + min(size, n-lo)
-	res.Regions = res.Regions[lo:hi]
-	if hi < n {
-		return hi
-	}
-	return -1
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 // storeETag renders the freshness validator of a query answer over the
@@ -1522,38 +1263,14 @@ func (s *server) writeFreshness(w http.ResponseWriter, r *http.Request, scanned 
 // cursor), execute it through the registry's single entry point, and
 // page the ranked list.
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, r, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		writeError(w, r, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	var req httpapi.QueryRequest
+	if !httpapi.DecodeBody(w, r, s.maxBody, &req) {
 		return
 	}
-	if req.PageSize < 0 {
-		writeError(w, r, http.StatusBadRequest, fmt.Errorf("negative page_size %d", req.PageSize))
+	q, pageSize, offset, err := req.Resolve()
+	if err != nil {
+		httpapi.WriteError(w, r, http.StatusBadRequest, err)
 		return
-	}
-	q, pageSize, offset := req.Query, req.PageSize, 0
-	if req.Cursor != "" {
-		if !reflect.DeepEqual(req.Query, c2mn.Query{}) {
-			writeError(w, r, http.StatusBadRequest, errors.New("cursor and query fields are mutually exclusive"))
-			return
-		}
-		cur, err := decodeCursor(req.Cursor)
-		if err != nil {
-			writeError(w, r, http.StatusBadRequest, err)
-			return
-		}
-		q, offset = cur.Query, cur.Offset
-		pageSize = cur.PageSize
-		if req.PageSize > 0 {
-			pageSize = req.PageSize
-		}
 	}
 	res, err := s.registry.Query(r.Context(), q)
 	if err != nil {
@@ -1563,32 +1280,25 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if s.writeFreshness(w, r, res.Scanned, res.Generations) {
 		return
 	}
-	resp := queryResponse{QueryResult: res}
-	if pageSize > 0 {
-		resp.Offset = offset
-		if next := paginate(&resp.QueryResult, offset, pageSize); next >= 0 {
-			cursor, err := encodeCursor(queryCursor{Query: q, PageSize: pageSize, Offset: next})
-			if err != nil {
-				writeError(w, r, http.StatusInternalServerError, err)
-				return
-			}
-			resp.NextCursor = cursor
-		}
+	resp, err := httpapi.Page(res, q, pageSize, offset)
+	if err != nil {
+		httpapi.WriteError(w, r, http.StatusInternalServerError, err)
+		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 // writeQueryError maps VenueRegistry.Query failures onto statuses.
 func writeQueryError(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
 	case errors.Is(err, c2mn.ErrInvalidQuery):
-		writeError(w, r, http.StatusBadRequest, err)
+		httpapi.WriteError(w, r, http.StatusBadRequest, err)
 	case errors.Is(err, c2mn.ErrUnknownVenue):
-		writeError(w, r, http.StatusNotFound, err)
+		httpapi.WriteError(w, r, http.StatusNotFound, err)
 	case errors.Is(err, c2mn.ErrCanceled):
-		writeError(w, r, http.StatusServiceUnavailable, err)
+		httpapi.WriteError(w, r, http.StatusServiceUnavailable, err)
 	default:
-		writeError(w, r, http.StatusUnprocessableEntity, err)
+		httpapi.WriteError(w, r, http.StatusUnprocessableEntity, err)
 	}
 }
 
@@ -1611,7 +1321,7 @@ func (s *server) handlePopularRegions(w http.ResponseWriter, r *http.Request) {
 			Count:      rc.Count,
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	httpapi.WriteJSON(w, http.StatusOK, out)
 }
 
 type pairCountResponse struct {
@@ -1635,7 +1345,7 @@ func (s *server) handleFrequentPairs(w http.ResponseWriter, r *http.Request) {
 			Count: pc.Count,
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	httpapi.WriteJSON(w, http.StatusOK, out)
 }
 
 // runTopKSugar executes a GET query sugar route through the unified
@@ -1646,12 +1356,12 @@ func (s *server) handleFrequentPairs(w http.ResponseWriter, r *http.Request) {
 func (s *server) runTopKSugar(w http.ResponseWriter, r *http.Request, kind c2mn.QueryKind) (c2mn.QueryResult, *c2mn.Space, bool) {
 	scope, venues, err := s.sugarScope(r)
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
+		httpapi.WriteError(w, r, http.StatusBadRequest, err)
 		return c2mn.QueryResult{}, nil, false
 	}
-	regions, win, k, err := sugarParams(r)
+	regions, win, k, err := httpapi.SugarParams(r)
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
+		httpapi.WriteError(w, r, http.StatusBadRequest, err)
 		return c2mn.QueryResult{}, nil, false
 	}
 	res, err := s.registry.Query(r.Context(), c2mn.Query{
@@ -1708,22 +1418,13 @@ type statsResponse struct {
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	noStore(w)
+	httpapi.NoStore(w)
 	per := s.registry.Stats()
 	resp := statsResponse{Venues: per}
 	for _, st := range per {
-		resp.Totals.FedRecords += st.FedRecords
-		resp.Totals.PendingObjects += st.PendingObjects
-		resp.Totals.PendingRecords += st.PendingRecords
-		resp.Totals.EmittedSequences += st.EmittedSequences
-		resp.Totals.StoredSequences += st.StoredSequences
-		resp.Totals.StoredSemantics += st.StoredSemantics
-		resp.Totals.QueryCacheHits += st.QueryCacheHits
-		resp.Totals.QueryCacheMisses += st.QueryCacheMisses
-		resp.Totals.QueryCacheRevalidations += st.QueryCacheRevalidations
-		resp.Totals.StoreNotifications += st.StoreNotifications
+		resp.Totals.Add(st)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *server) handleVenueStats(w http.ResponseWriter, r *http.Request) {
@@ -1731,16 +1432,8 @@ func (s *server) handleVenueStats(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	noStore(w)
-	writeJSON(w, http.StatusOK, e.Stats())
-}
-
-// noStore marks an introspection response uncacheable. Operational
-// state (stats, venue listings, health) must never be served stale by
-// an intermediary; only /v1/query is deliberately cache-validated,
-// through its generation ETag.
-func noStore(w http.ResponseWriter) {
-	w.Header().Set("Cache-Control", "no-store")
+	httpapi.NoStore(w)
+	httpapi.WriteJSON(w, http.StatusOK, e.Stats())
 }
 
 // venueInfo is one row of the /venues listing. The snapshot columns
@@ -1772,7 +1465,7 @@ type venueInfo struct {
 }
 
 func (s *server) handleListVenues(w http.ResponseWriter, r *http.Request) {
-	noStore(w)
+	httpapi.NoStore(w)
 	ids := s.registry.Venues()
 	out := make([]venueInfo, 0, len(ids))
 	for _, id := range ids {
@@ -1802,43 +1495,25 @@ func (s *server) handleListVenues(w http.ResponseWriter, r *http.Request) {
 		out = append(out, info)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Venue < out[j].Venue })
-	writeJSON(w, http.StatusOK, map[string]any{"venues": out})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"venues": out})
 }
 
-// loadVenueRequest is the admin body for POST /venues: server-side
-// file paths of a space and a model saved with Annotator.Save. Loading
-// an already-loaded venue ID hot-reloads it.
+// loadVenueRequest is the admin body for POST /v1/admin/venues:
+// server-side file paths of a space and a model saved with
+// Annotator.Save. Loading an already-loaded venue ID hot-reloads it.
 type loadVenueRequest struct {
 	Venue string `json:"venue"`
 	Space string `json:"space"`
 	Model string `json:"model"`
 }
 
-// authorizeAdmin enforces the admin bearer token on the mutating
-// admin endpoints. It reports whether the request may proceed,
-// writing the 401 itself otherwise.
-func (s *server) authorizeAdmin(w http.ResponseWriter, r *http.Request) bool {
-	if s.adminToken == "" {
-		return true
-	}
-	token, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
-	if !ok || subtle.ConstantTimeCompare([]byte(token), []byte(s.adminToken)) != 1 {
-		w.Header().Set("WWW-Authenticate", "Bearer")
-		writeError(w, r, http.StatusUnauthorized, errors.New("admin endpoint requires a valid bearer token"))
-		return false
-	}
-	return true
-}
-
 func (s *server) handleLoadVenue(w http.ResponseWriter, r *http.Request) {
 	var req loadVenueRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, r, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !httpapi.DecodeBody(w, r, s.maxBody, &req) {
 		return
 	}
 	if req.Venue == "" || req.Space == "" || req.Model == "" {
-		writeError(w, r, http.StatusBadRequest, errors.New("venue, space and model are required"))
+		httpapi.WriteError(w, r, http.StatusBadRequest, errors.New("venue, space and model are required"))
 		return
 	}
 	if err := loadVenueFiles(s.registry, req.Venue, req.Space, req.Model); err != nil {
@@ -1846,7 +1521,7 @@ func (s *server) handleLoadVenue(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, c2mn.ErrTooManyVenues) {
 			status = http.StatusConflict
 		}
-		writeError(w, r, status, err)
+		httpapi.WriteError(w, r, status, err)
 		return
 	}
 	// A (re)loaded venue starts with a fresh engine: any previous
@@ -1858,13 +1533,13 @@ func (s *server) handleLoadVenue(w http.ResponseWriter, r *http.Request) {
 	s.drainMu.Unlock()
 	s.snaps.forget(req.Venue)
 	s.watchHub.Invalidate(req.Venue)
-	writeJSON(w, http.StatusCreated, map[string]string{"venue": req.Venue, "status": "loaded"})
+	httpapi.WriteJSON(w, http.StatusCreated, map[string]string{"venue": req.Venue, "status": "loaded"})
 }
 
 func (s *server) handleUnloadVenue(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("venue")
 	if err := s.registry.Unload(id); err != nil {
-		writeError(w, r, http.StatusNotFound, err)
+		httpapi.WriteError(w, r, http.StatusNotFound, err)
 		return
 	}
 	// The drain state and snapshot bookkeeping belong to the unloaded
@@ -1876,53 +1551,7 @@ func (s *server) handleUnloadVenue(w http.ResponseWriter, r *http.Request) {
 	// Standing watches on the venue re-execute, find it gone, and close
 	// with a goodbye — the client's signal to re-resolve ownership.
 	s.watchHub.Invalidate(id)
-	writeJSON(w, http.StatusOK, map[string]string{"venue": id, "status": "unloaded"})
-}
-
-// sugarParams parses a query GET's k (default: the library default),
-// start/end (default: all time) and regions (default: every region of
-// each scanned venue — applied inside the query path).
-func sugarParams(r *http.Request) ([]c2mn.RegionID, *c2mn.Window, int, error) {
-	vals := r.URL.Query()
-	k := 0
-	if v := vals.Get("k"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			return nil, nil, 0, fmt.Errorf("bad k %q", v)
-		}
-		k = n
-	}
-	var win *c2mn.Window
-	if vals.Get("start") != "" || vals.Get("end") != "" {
-		// A single given bound leaves the other at all-of-time, matching
-		// the nil-window default: ?end= alone is a pure upper bound.
-		win = &c2mn.Window{Start: -math.MaxFloat64, End: math.MaxFloat64}
-		if v := vals.Get("start"); v != "" {
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || math.IsNaN(f) {
-				return nil, nil, 0, fmt.Errorf("bad start %q", v)
-			}
-			win.Start = f
-		}
-		if v := vals.Get("end"); v != "" {
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || math.IsNaN(f) {
-				return nil, nil, 0, fmt.Errorf("bad end %q", v)
-			}
-			win.End = f
-		}
-	}
-	var q []c2mn.RegionID
-	if v := vals.Get("regions"); v != "" {
-		for _, part := range strings.Split(v, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil {
-				return nil, nil, 0, fmt.Errorf("bad region %q", part)
-			}
-			q = append(q, c2mn.RegionID(n))
-		}
-	}
-	return q, win, k, nil
+	httpapi.WriteJSON(w, http.StatusOK, map[string]string{"venue": id, "status": "unloaded"})
 }
 
 func regionName(sp *c2mn.Space, id c2mn.RegionID) string {
@@ -1948,19 +1577,11 @@ func wireSemanticsOf(e *c2mn.Engine, ms c2mn.MSSequence) []wireSemantics {
 
 func (s *server) decodeSequence(w http.ResponseWriter, r *http.Request) (sequenceRequest, bool) {
 	var req sequenceRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, r, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
-			return req, false
-		}
-		writeError(w, r, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !httpapi.DecodeBody(w, r, s.maxBody, &req) {
 		return req, false
 	}
 	if req.ObjectID == "" {
-		writeError(w, r, http.StatusBadRequest, errors.New("object_id is required"))
+		httpapi.WriteError(w, r, http.StatusBadRequest, errors.New("object_id is required"))
 		return req, false
 	}
 	return req, true
@@ -1980,108 +1601,12 @@ func toPSequence(req sequenceRequest) c2mn.PSequence {
 func writeAnnotateError(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
 	case errors.Is(err, c2mn.ErrEmptySequence):
-		writeError(w, r, http.StatusBadRequest, err)
+		httpapi.WriteError(w, r, http.StatusBadRequest, err)
 	case errors.Is(err, c2mn.ErrCanceled):
-		writeError(w, r, http.StatusServiceUnavailable, err)
+		httpapi.WriteError(w, r, http.StatusServiceUnavailable, err)
 	case errors.Is(err, c2mn.ErrNoModel):
-		writeError(w, r, http.StatusInternalServerError, err)
+		httpapi.WriteError(w, r, http.StatusInternalServerError, err)
 	default:
-		writeError(w, r, http.StatusUnprocessableEntity, err)
+		httpapi.WriteError(w, r, http.StatusUnprocessableEntity, err)
 	}
-}
-
-// wireError is the typed /v1 error payload. RequestID reflects the
-// request's X-Request-ID (when one was sent, e.g. by the router), so
-// an error observed by the client is correlatable with the backend's
-// logs and the router's.
-type wireError struct {
-	Code      string `json:"code"`
-	Message   string `json:"message"`
-	RequestID string `json:"request_id,omitempty"`
-}
-
-// isV1 reports whether the request came in through the versioned
-// route tree (which carries typed error payloads).
-func isV1(r *http.Request) bool { return strings.HasPrefix(r.URL.Path, "/v1/") }
-
-// errorCode derives the stable machine-readable code of a /v1 error:
-// the library's sentinel when one matches, a status-derived fallback
-// otherwise.
-func errorCode(status int, err error) string {
-	switch {
-	case errors.Is(err, c2mn.ErrUnknownVenue):
-		return "unknown_venue"
-	case errors.Is(err, c2mn.ErrInvalidQuery):
-		return "invalid_query"
-	case errors.Is(err, c2mn.ErrBacklog):
-		return "backlog"
-	case errors.Is(err, c2mn.ErrCanceled):
-		return "canceled"
-	case errors.Is(err, c2mn.ErrTooManyVenues):
-		return "too_many_venues"
-	case errors.Is(err, c2mn.ErrEmptySequence):
-		return "empty_sequence"
-	case errors.Is(err, c2mn.ErrModelVersion):
-		return "model_version"
-	case errors.Is(err, c2mn.ErrSnapshotVersion):
-		return "snapshot_version"
-	case errors.Is(err, c2mn.ErrSnapshotMismatch):
-		return "snapshot_mismatch"
-	case errors.Is(err, c2mn.ErrSnapshotConflict):
-		return "snapshot_conflict"
-	case errors.Is(err, c2mn.ErrSnapshotCorrupt):
-		return "snapshot_corrupt"
-	case errors.Is(err, errVenueDraining):
-		return "venue_draining"
-	case errors.Is(err, c2mn.ErrRetrainDisabled):
-		return "retrain_disabled"
-	case errors.Is(err, c2mn.ErrRetrainBusy):
-		return "retrain_busy"
-	case errors.Is(err, c2mn.ErrRetrainConflict):
-		return "retrain_conflict"
-	case errors.Is(err, c2mn.ErrRetrainSamples):
-		return "retrain_samples"
-	}
-	switch status {
-	case http.StatusBadRequest:
-		return "invalid_argument"
-	case http.StatusUnauthorized:
-		return "unauthorized"
-	case http.StatusNotFound:
-		return "not_found"
-	case http.StatusMethodNotAllowed:
-		return "method_not_allowed"
-	case http.StatusConflict:
-		return "conflict"
-	case http.StatusRequestEntityTooLarge:
-		return "body_too_large"
-	case http.StatusTooManyRequests:
-		return "backlog"
-	case http.StatusServiceUnavailable:
-		return "unavailable"
-	}
-	if status >= http.StatusInternalServerError {
-		return "internal"
-	}
-	return "unprocessable"
-}
-
-// writeError emits the error envelope: /v1 routes get the typed
-// {"error": {"code", "message"}} payload, legacy unversioned routes
-// keep the pre-versioning flat {"error": "..."} string.
-func writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
-	if isV1(r) {
-		writeJSON(w, status, map[string]wireError{"error": {
-			Code: errorCode(status, err), Message: err.Error(),
-			RequestID: r.Header.Get(requestIDHeader),
-		}})
-		return
-	}
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
 }

@@ -1,7 +1,7 @@
 package main
 
 // Integration tests: train a small model, stand the HTTP surface up on
-// httptest, and round-trip /annotate, /feed + /flush and the live
+// httptest, and round-trip /v1/annotate, /v1/feed + /v1/flush and the live
 // queries against direct Engine calls — single-venue and multi-venue,
 // plus the admin plane and graceful shutdown.
 
@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"c2mn"
+	"c2mn/internal/httpapi"
 	"c2mn/internal/sim"
 )
 
@@ -138,7 +139,7 @@ func TestServerRoundTrips(t *testing.T) {
 	// /annotate (venue defaulted: only one loaded) matches a direct
 	// Engine call.
 	p := test[0].P
-	resp = postJSON(t, ts.URL+"/annotate", sequenceRequest{
+	resp = postJSON(t, ts.URL+"/v1/annotate", sequenceRequest{
 		ObjectID: p.ObjectID,
 		Records:  toWire(p.Records),
 	})
@@ -172,12 +173,12 @@ func TestServerRoundTrips(t *testing.T) {
 	}
 
 	// Empty sequences are a client error.
-	resp = postJSON(t, ts.URL+"/annotate", sequenceRequest{ObjectID: "empty"})
+	resp = postJSON(t, ts.URL+"/v1/annotate", sequenceRequest{ObjectID: "empty"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("/annotate empty status = %s, want 400", resp.Status)
 	}
 	resp.Body.Close()
-	resp = postJSON(t, ts.URL+"/annotate", sequenceRequest{})
+	resp = postJSON(t, ts.URL+"/v1/annotate", sequenceRequest{})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("/annotate no object_id status = %s, want 400", resp.Status)
 	}
@@ -185,7 +186,7 @@ func TestServerRoundTrips(t *testing.T) {
 
 	// Stream every test object through /feed, then /flush.
 	for i := range test {
-		resp = postJSON(t, ts.URL+"/feed", sequenceRequest{
+		resp = postJSON(t, ts.URL+"/v1/feed", sequenceRequest{
 			ObjectID: fmt.Sprintf("obj%d", i),
 			Records:  toWire(test[i].P.Records),
 		})
@@ -197,7 +198,7 @@ func TestServerRoundTrips(t *testing.T) {
 			t.Fatalf("/feed fed = %d, want %d", fed.Fed, len(test[i].P.Records))
 		}
 	}
-	resp = postJSON(t, ts.URL+"/flush", nil)
+	resp = postJSON(t, ts.URL+"/v1/flush", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/flush status = %s", resp.Status)
 	}
@@ -210,7 +211,7 @@ func TestServerRoundTrips(t *testing.T) {
 	}
 
 	// Live query over the fed stream matches the Engine directly.
-	resp, err = http.Get(ts.URL + "/query/popular-regions?k=3")
+	resp, err = http.Get(ts.URL + "/v1/query/popular-regions?k=3")
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("/query/popular-regions: %v %v", resp.Status, err)
 	}
@@ -226,12 +227,12 @@ func TestServerRoundTrips(t *testing.T) {
 	}
 
 	// Frequent pairs and stats respond; stats carry the venue split.
-	resp, err = http.Get(ts.URL + "/query/frequent-pairs?k=3")
+	resp, err = http.Get(ts.URL + "/v1/query/frequent-pairs?k=3")
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("/query/frequent-pairs: %v %v", resp.Status, err)
 	}
 	decodeBody[[]pairCountResponse](t, resp)
-	resp, err = http.Get(ts.URL + "/stats")
+	resp, err = http.Get(ts.URL + "/v1/stats")
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("/stats: %v %v", resp.Status, err)
 	}
@@ -242,10 +243,15 @@ func TestServerRoundTrips(t *testing.T) {
 	if st.Venues["default"].EmittedSequences != flushed.EmittedSequences {
 		t.Fatalf("/stats venue split missing: %+v", st.Venues)
 	}
+	// Every counter sums into the totals — FeedBatches included, the
+	// divisor of the mean coalesced batch size.
+	if st.Totals != st.Venues["default"] || st.Totals.FeedBatches == 0 {
+		t.Fatalf("/stats totals = %+v, want the sole venue's %+v", st.Totals, st.Venues["default"])
+	}
 
 	// Parameter validation.
 	for _, bad := range []string{"?k=0", "?k=x", "?start=x", "?start=NaN", "?end=nan", "?regions=1,x"} {
-		resp, err = http.Get(ts.URL + "/query/popular-regions" + bad)
+		resp, err = http.Get(ts.URL + "/v1/query/popular-regions" + bad)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -263,13 +269,13 @@ func TestServerQueryParamsWindowAndRegions(t *testing.T) {
 	defer ts.Close()
 
 	for i := range test {
-		resp := postJSON(t, ts.URL+"/feed", sequenceRequest{
+		resp := postJSON(t, ts.URL+"/v1/feed", sequenceRequest{
 			ObjectID: fmt.Sprintf("obj%d", i),
 			Records:  toWire(test[i].P.Records),
 		})
 		resp.Body.Close()
 	}
-	resp := postJSON(t, ts.URL+"/flush", nil)
+	resp := postJSON(t, ts.URL+"/v1/flush", nil)
 	resp.Body.Close()
 
 	// Restricting the window and region set narrows the answer the same
@@ -278,7 +284,7 @@ func TestServerQueryParamsWindowAndRegions(t *testing.T) {
 	q := []c2mn.RegionID{regions[0], regions[1]}
 	w := c2mn.Window{Start: 0, End: 700}
 	want := engine.TopKPopularRegions(q, w, 2)
-	url := fmt.Sprintf("%s/query/popular-regions?k=2&start=0&end=700&regions=%d,%d",
+	url := fmt.Sprintf("%s/v1/query/popular-regions?k=2&start=0&end=700&regions=%d,%d",
 		ts.URL, regions[0], regions[1])
 	resp, err := http.Get(url)
 	if err != nil || resp.StatusCode != http.StatusOK {
@@ -299,7 +305,7 @@ func TestServerMaxBodyRejectsOversizedRequests(t *testing.T) {
 	ts := httptest.NewServer(newServer(registry, 128, ""))
 	defer ts.Close()
 
-	for _, path := range []string{"/annotate", "/feed"} {
+	for _, path := range []string{"/v1/annotate", "/v1/feed"} {
 		resp := postJSON(t, ts.URL+path, sequenceRequest{
 			ObjectID: "big",
 			Records:  toWire(test[0].P.Records),
@@ -307,15 +313,14 @@ func TestServerMaxBodyRejectsOversizedRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Fatalf("%s oversized status = %s, want 413", path, resp.Status)
 		}
-		body := decodeBody[map[string]string](t, resp)
-		if body["error"] == "" {
-			t.Fatalf("%s oversized response carries no JSON error", path)
+		if te := decodeBody[v1Error](t, resp); te.Error.Code != "body_too_large" {
+			t.Fatalf("%s oversized response envelope = %+v", path, te)
 		}
 	}
 
 	// A request under the cap still reaches the handler (and fails for
 	// its own reasons, not with 413).
-	resp := postJSON(t, ts.URL+"/annotate", sequenceRequest{ObjectID: "s"})
+	resp := postJSON(t, ts.URL+"/v1/annotate", sequenceRequest{ObjectID: "s"})
 	if resp.StatusCode == http.StatusRequestEntityTooLarge {
 		t.Fatalf("small request rejected as too large: %s", resp.Status)
 	}
@@ -331,7 +336,7 @@ func TestServerMultiVenue(t *testing.T) {
 	defer ts.Close()
 
 	// With two venues loaded, a bare data-plane call must name one.
-	resp := postJSON(t, ts.URL+"/feed", sequenceRequest{ObjectID: "o", Records: toWire(test[0].P.Records)})
+	resp := postJSON(t, ts.URL+"/v1/feed", sequenceRequest{ObjectID: "o", Records: toWire(test[0].P.Records)})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("ambiguous venue status = %s, want 400", resp.Status)
 	}
@@ -350,9 +355,9 @@ func TestServerMultiVenue(t *testing.T) {
 			defer wg.Done()
 			var url string
 			if i%2 == 0 {
-				url = fmt.Sprintf("%s/venues/north/feed", ts.URL)
+				url = fmt.Sprintf("%s/v1/venues/north/feed", ts.URL)
 			} else {
-				url = fmt.Sprintf("%s/feed?venue=south", ts.URL)
+				url = fmt.Sprintf("%s/v1/feed?venue=south", ts.URL)
 			}
 			buf, err := json.Marshal(sequenceRequest{
 				ObjectID: fmt.Sprintf("obj%d", i/2),
@@ -378,7 +383,7 @@ func TestServerMultiVenue(t *testing.T) {
 	for msg := range feedErrs {
 		t.Fatal(msg)
 	}
-	resp = postJSON(t, ts.URL+"/flush", nil) // no venue: flushes all
+	resp = postJSON(t, ts.URL+"/v1/flush", nil) // no venue: flushes all
 	flushed := decodeBody[flushResponse](t, resp)
 	if flushed.Venues != 2 || flushed.EmittedSequences == 0 {
 		t.Fatalf("/flush all = %+v", flushed)
@@ -390,7 +395,7 @@ func TestServerMultiVenue(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := http.Get(fmt.Sprintf("%s/venues/%s/query/popular-regions?k=4", ts.URL, id))
+		resp, err := http.Get(fmt.Sprintf("%s/v1/venues/%s/query/popular-regions?k=4", ts.URL, id))
 		if err != nil || resp.StatusCode != http.StatusOK {
 			t.Fatalf("venue %s query: %v %v", id, resp.Status, err)
 		}
@@ -417,12 +422,12 @@ func TestServerMultiVenue(t *testing.T) {
 	for _, probe := range []struct {
 		method, url string
 	}{
-		{"POST", ts.URL + "/venues/nowhere/feed"},
-		{"POST", ts.URL + "/feed?venue=nowhere"},
-		{"POST", ts.URL + "/venues/nowhere/annotate"},
-		{"GET", ts.URL + "/venues/nowhere/query/popular-regions"},
-		{"GET", ts.URL + "/venues/nowhere/stats"},
-		{"POST", ts.URL + "/flush?venue=nowhere"},
+		{"POST", ts.URL + "/v1/venues/nowhere/feed"},
+		{"POST", ts.URL + "/v1/feed?venue=nowhere"},
+		{"POST", ts.URL + "/v1/venues/nowhere/annotate"},
+		{"GET", ts.URL + "/v1/venues/nowhere/query/popular-regions"},
+		{"GET", ts.URL + "/v1/venues/nowhere/stats"},
+		{"POST", ts.URL + "/v1/flush?venue=nowhere"},
 	} {
 		var resp *http.Response
 		var err error
@@ -437,16 +442,16 @@ func TestServerMultiVenue(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("%s %s status = %s, want 404", probe.method, probe.url, resp.Status)
 		}
-		body := decodeBody[map[string]string](t, resp)
-		if !strings.Contains(body["error"], "unknown venue") {
-			t.Fatalf("%s error = %q, want unknown-venue message", probe.url, body["error"])
+		te := decodeBody[v1Error](t, resp)
+		if te.Error.Code != "unknown_venue" || !strings.Contains(te.Error.Message, "unknown venue") {
+			t.Fatalf("%s error = %+v, want the typed unknown-venue envelope", probe.url, te.Error)
 		}
 	}
 
 	// Per-venue stats via the path form.
-	resp, err := http.Get(ts.URL + "/venues/north/stats")
+	resp, err := http.Get(ts.URL + "/v1/venues/north/stats")
 	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("/venues/north/stats: %v %v", resp.Status, err)
+		t.Fatalf("/v1/venues/north/stats: %v %v", resp.Status, err)
 	}
 	nst := decodeBody[c2mn.EngineStats](t, resp)
 	if nst.EmittedSequences == 0 {
@@ -454,8 +459,8 @@ func TestServerMultiVenue(t *testing.T) {
 	}
 }
 
-// TestServerAdminPlane exercises /venues list, load-from-disk (hot
-// reload included) and unload.
+// TestServerAdminPlane exercises the /v1/venues list and the
+// /v1/admin load-from-disk (hot reload included) and unload.
 func TestServerAdminPlane(t *testing.T) {
 	registry, test := testRegistry(t, "alpha")
 	ann, _ := testParts(t)
@@ -484,28 +489,28 @@ func TestServerAdminPlane(t *testing.T) {
 	mf.Close()
 
 	// List: one venue.
-	resp, err := http.Get(ts.URL + "/venues")
+	resp, err := http.Get(ts.URL + "/v1/venues")
 	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("/venues: %v %v", resp.Status, err)
+		t.Fatalf("/v1/venues: %v %v", resp.Status, err)
 	}
 	listing := decodeBody[struct {
 		Venues []venueInfo `json:"venues"`
 	}](t, resp)
 	if len(listing.Venues) != 1 || listing.Venues[0].Venue != "alpha" || listing.Venues[0].Regions == 0 {
-		t.Fatalf("/venues = %+v", listing)
+		t.Fatalf("/v1/venues = %+v", listing)
 	}
 
 	// Load a second venue from disk.
-	resp = postJSON(t, ts.URL+"/venues", loadVenueRequest{Venue: "beta", Space: spacePath, Model: modelPath})
+	resp = postJSON(t, ts.URL+"/v1/admin/venues", loadVenueRequest{Venue: "beta", Space: spacePath, Model: modelPath})
 	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("POST /venues status = %s", resp.Status)
+		t.Fatalf("POST /v1/admin/venues status = %s", resp.Status)
 	}
 	resp.Body.Close()
 	if got := registry.Venues(); !reflect.DeepEqual(got, []string{"alpha", "beta"}) {
 		t.Fatalf("venues after load = %v", got)
 	}
 	// The loaded venue annotates.
-	resp = postJSON(t, ts.URL+"/venues/beta/annotate", sequenceRequest{
+	resp = postJSON(t, ts.URL+"/v1/venues/beta/annotate", sequenceRequest{
 		ObjectID: test[0].P.ObjectID,
 		Records:  toWire(test[0].P.Records),
 	})
@@ -516,7 +521,7 @@ func TestServerAdminPlane(t *testing.T) {
 
 	// Hot reload an existing ID is allowed and swaps the engine.
 	before, _ := registry.Engine("beta")
-	resp = postJSON(t, ts.URL+"/venues", loadVenueRequest{Venue: "beta", Space: spacePath, Model: modelPath})
+	resp = postJSON(t, ts.URL+"/v1/admin/venues", loadVenueRequest{Venue: "beta", Space: spacePath, Model: modelPath})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("hot reload status = %s", resp.Status)
 	}
@@ -527,28 +532,28 @@ func TestServerAdminPlane(t *testing.T) {
 	}
 
 	// Bad loads are client errors.
-	resp = postJSON(t, ts.URL+"/venues", loadVenueRequest{Venue: "", Space: spacePath, Model: modelPath})
+	resp = postJSON(t, ts.URL+"/v1/admin/venues", loadVenueRequest{Venue: "", Space: spacePath, Model: modelPath})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty venue load status = %s", resp.Status)
 	}
 	resp.Body.Close()
-	resp = postJSON(t, ts.URL+"/venues", loadVenueRequest{Venue: "x", Space: spacePath, Model: filepath.Join(dir, "missing.json")})
+	resp = postJSON(t, ts.URL+"/v1/admin/venues", loadVenueRequest{Venue: "x", Space: spacePath, Model: filepath.Join(dir, "missing.json")})
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("missing model load status = %s", resp.Status)
 	}
 	resp.Body.Close()
 
 	// Unload.
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/venues/beta", nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/admin/venues/beta", nil)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("DELETE /venues/beta: %v %v", resp.Status, err)
+		t.Fatalf("DELETE /v1/admin/venues/beta: %v %v", resp.Status, err)
 	}
 	resp.Body.Close()
 	if registry.Len() != 1 {
 		t.Fatalf("venues after unload = %v", registry.Venues())
 	}
-	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/venues/beta", nil)
+	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/v1/admin/venues/beta", nil)
 	resp, _ = http.DefaultClient.Do(req)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("double unload status = %s, want 404", resp.Status)
@@ -573,7 +578,7 @@ func TestServerSnapshotEndpoint(t *testing.T) {
 		})
 		resp.Body.Close()
 	}
-	resp := postJSON(t, ts.URL+"/v1/venues/default/snapshot", nil)
+	resp := postJSON(t, ts.URL+"/v1/admin/venues/default/snapshot", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("snapshot trigger status = %s", resp.Status)
 	}
@@ -603,7 +608,7 @@ func TestServerSnapshotEndpoint(t *testing.T) {
 	}
 
 	// Unknown venue: 404 with the venue sentinel.
-	resp = postJSON(t, ts.URL+"/v1/venues/nowhere/snapshot", nil)
+	resp = postJSON(t, ts.URL+"/v1/admin/venues/nowhere/snapshot", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown venue snapshot status = %s", resp.Status)
 	}
@@ -612,7 +617,7 @@ func TestServerSnapshotEndpoint(t *testing.T) {
 	// Persistence disabled: typed 409.
 	off := httptest.NewServer(newServer(registry, defaultMaxBody, ""))
 	defer off.Close()
-	resp = postJSON(t, off.URL+"/v1/venues/default/snapshot", nil)
+	resp = postJSON(t, off.URL+"/v1/admin/venues/default/snapshot", nil)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("disabled snapshot status = %s, want 409", resp.Status)
 	}
@@ -624,7 +629,7 @@ func TestServerSnapshotEndpoint(t *testing.T) {
 	// The trigger is a mutating admin endpoint: token-gated.
 	gated := httptest.NewServer(newServer(registry, defaultMaxBody, "s3cret", withSnapshotDir(dir)))
 	defer gated.Close()
-	resp = postJSON(t, gated.URL+"/v1/venues/default/snapshot", nil)
+	resp = postJSON(t, gated.URL+"/v1/admin/venues/default/snapshot", nil)
 	if resp.StatusCode != http.StatusUnauthorized {
 		t.Fatalf("tokenless snapshot status = %s, want 401", resp.Status)
 	}
@@ -682,12 +687,12 @@ func TestServerAdminTokenGatesMutations(t *testing.T) {
 	defer ts.Close()
 
 	// Mutating admin calls without (or with a wrong) token: 401.
-	resp := postJSON(t, ts.URL+"/venues", loadVenueRequest{Venue: "x", Space: "s", Model: "m"})
+	resp := postJSON(t, ts.URL+"/v1/admin/venues", loadVenueRequest{Venue: "x", Space: "s", Model: "m"})
 	if resp.StatusCode != http.StatusUnauthorized {
 		t.Fatalf("tokenless load status = %s, want 401", resp.Status)
 	}
 	resp.Body.Close()
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/venues/alpha", nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/admin/venues/alpha", nil)
 	req.Header.Set("Authorization", "Bearer wrong")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil || resp.StatusCode != http.StatusUnauthorized {
@@ -699,7 +704,7 @@ func TestServerAdminTokenGatesMutations(t *testing.T) {
 	}
 
 	// The right token works.
-	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/venues/alpha", nil)
+	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/v1/admin/venues/alpha", nil)
 	req.Header.Set("Authorization", "Bearer s3cret")
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil || resp.StatusCode != http.StatusOK {
@@ -711,9 +716,9 @@ func TestServerAdminTokenGatesMutations(t *testing.T) {
 	}
 
 	// Read-only endpoints stay open.
-	resp, err = http.Get(ts.URL + "/venues")
+	resp, err = http.Get(ts.URL + "/v1/venues")
 	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("/venues listing behind token: %v %v", resp.Status, err)
+		t.Fatalf("/v1/venues listing behind token: %v %v", resp.Status, err)
 	}
 	resp.Body.Close()
 }
@@ -868,14 +873,14 @@ func TestServerV1FleetQuery(t *testing.T) {
 	allTime := c2mn.Window{Start: 0, End: 1e18}
 
 	const k = 4
-	resp = postJSON(t, ts.URL+"/v1/query", queryRequest{Query: c2mn.Query{
+	resp = postJSON(t, ts.URL+"/v1/query", httpapi.QueryRequest{Query: c2mn.Query{
 		Kind: c2mn.QueryPopularRegions, Scope: c2mn.ScopeFleet,
 		Window: &allTime, K: k, PerVenue: true,
 	}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/v1/query fleet: %s", resp.Status)
 	}
-	got := decodeBody[queryResponse](t, resp)
+	got := decodeBody[httpapi.QueryResponse](t, resp)
 	if !reflect.DeepEqual(got.Scanned, ids) {
 		t.Fatalf("scanned = %v, want %v", got.Scanned, ids)
 	}
@@ -897,13 +902,13 @@ func TestServerV1FleetQuery(t *testing.T) {
 	}
 
 	// The pair kind merges exactly too.
-	resp = postJSON(t, ts.URL+"/v1/query", queryRequest{Query: c2mn.Query{
+	resp = postJSON(t, ts.URL+"/v1/query", httpapi.QueryRequest{Query: c2mn.Query{
 		Kind: c2mn.QueryFrequentPairs, Scope: c2mn.ScopeFleet, Window: &allTime, K: k,
 	}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/v1/query pairs: %s", resp.Status)
 	}
-	gotPairs := decodeBody[queryResponse](t, resp)
+	gotPairs := decodeBody[httpapi.QueryResponse](t, resp)
 	wantPairs := c2mn.TopKFrequentPairs(all, regions, allTime, k)
 	if !reflect.DeepEqual(gotPairs.Pairs, wantPairs) {
 		t.Fatalf("fleet pair /v1/query = %v, brute force = %v", gotPairs.Pairs, wantPairs)
@@ -962,11 +967,11 @@ func TestServerV1QueryPagination(t *testing.T) {
 	resp.Body.Close()
 
 	full := c2mn.Query{Kind: c2mn.QueryPopularRegions, K: 50}
-	resp = postJSON(t, ts.URL+"/v1/query", queryRequest{Query: full})
+	resp = postJSON(t, ts.URL+"/v1/query", httpapi.QueryRequest{Query: full})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("unpaginated query: %s", resp.Status)
 	}
-	whole := decodeBody[queryResponse](t, resp)
+	whole := decodeBody[httpapi.QueryResponse](t, resp)
 	if len(whole.Regions) < 3 {
 		t.Fatalf("workload too small to paginate: %d regions", len(whole.Regions))
 	}
@@ -976,7 +981,7 @@ func TestServerV1QueryPagination(t *testing.T) {
 
 	const pageSize = 2
 	var pages []c2mn.RegionCount
-	req := queryRequest{Query: full, PageSize: pageSize}
+	req := httpapi.QueryRequest{Query: full, PageSize: pageSize}
 	for hops := 0; ; hops++ {
 		if hops > len(whole.Regions) {
 			t.Fatal("cursor chain does not terminate")
@@ -985,7 +990,7 @@ func TestServerV1QueryPagination(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("page %d: %s", hops, resp.Status)
 		}
-		page := decodeBody[queryResponse](t, resp)
+		page := decodeBody[httpapi.QueryResponse](t, resp)
 		if len(page.Regions) > pageSize {
 			t.Fatalf("page %d has %d rows, page_size %d", hops, len(page.Regions), pageSize)
 		}
@@ -996,7 +1001,7 @@ func TestServerV1QueryPagination(t *testing.T) {
 		if page.NextCursor == "" {
 			break
 		}
-		req = queryRequest{Cursor: page.NextCursor}
+		req = httpapi.QueryRequest{Cursor: page.NextCursor}
 	}
 	if !reflect.DeepEqual(pages, whole.Regions) {
 		t.Fatalf("concatenated pages = %v, unpaginated = %v", pages, whole.Regions)
@@ -1004,22 +1009,22 @@ func TestServerV1QueryPagination(t *testing.T) {
 
 	// A cursor combined with query fields is rejected — even when only
 	// a non-kind field like k is set.
-	resp = postJSON(t, ts.URL+"/v1/query", queryRequest{Query: full, Cursor: "abc"})
+	resp = postJSON(t, ts.URL+"/v1/query", httpapi.QueryRequest{Query: full, Cursor: "abc"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("cursor+query status = %s, want 400", resp.Status)
 	}
 	resp.Body.Close()
-	valid, err := encodeCursor(queryCursor{Query: full, PageSize: pageSize, Offset: 0})
+	valid, err := httpapi.EncodeCursor(httpapi.QueryCursor{Query: full, PageSize: pageSize, Offset: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp = postJSON(t, ts.URL+"/v1/query", queryRequest{Query: c2mn.Query{K: 50}, Cursor: valid})
+	resp = postJSON(t, ts.URL+"/v1/query", httpapi.QueryRequest{Query: c2mn.Query{K: 50}, Cursor: valid})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("cursor+k status = %s, want 400", resp.Status)
 	}
 	resp.Body.Close()
 	// So is a corrupt cursor.
-	resp = postJSON(t, ts.URL+"/v1/query", queryRequest{Cursor: "!!!not-base64!!!"})
+	resp = postJSON(t, ts.URL+"/v1/query", httpapi.QueryRequest{Cursor: "!!!not-base64!!!"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("corrupt cursor status = %s, want 400", resp.Status)
 	}
@@ -1027,15 +1032,15 @@ func TestServerV1QueryPagination(t *testing.T) {
 
 	// A forged cursor with an extreme offset pages past the end — an
 	// empty final page, never a sliced-out-of-range panic.
-	forged, err := encodeCursor(queryCursor{Query: full, PageSize: pageSize, Offset: math.MaxInt64})
+	forged, err := httpapi.EncodeCursor(httpapi.QueryCursor{Query: full, PageSize: pageSize, Offset: math.MaxInt64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp = postJSON(t, ts.URL+"/v1/query", queryRequest{Cursor: forged})
+	resp = postJSON(t, ts.URL+"/v1/query", httpapi.QueryRequest{Cursor: forged})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("forged-offset cursor status = %s, want 200", resp.Status)
 	}
-	tail := decodeBody[queryResponse](t, resp)
+	tail := decodeBody[httpapi.QueryResponse](t, resp)
 	if len(tail.Regions) != 0 || tail.NextCursor != "" {
 		t.Fatalf("forged-offset cursor page = %+v, want empty terminal page", tail)
 	}
@@ -1043,13 +1048,11 @@ func TestServerV1QueryPagination(t *testing.T) {
 
 // v1Error is the typed /v1 error envelope as tests decode it.
 type v1Error struct {
-	Error wireError `json:"error"`
+	Error httpapi.WireError `json:"error"`
 }
 
-// TestServerV1TypedErrorsAndDeprecation: /v1 errors carry machine
-// codes, legacy routes keep the flat payload and gain deprecation
-// headers.
-func TestServerV1TypedErrorsAndDeprecation(t *testing.T) {
+// TestServerV1TypedErrors: errors carry machine codes.
+func TestServerV1TypedErrors(t *testing.T) {
 	registry, _ := testRegistry(t, "alpha")
 	ts := httptest.NewServer(newServer(registry, defaultMaxBody, ""))
 	defer ts.Close()
@@ -1065,7 +1068,7 @@ func TestServerV1TypedErrorsAndDeprecation(t *testing.T) {
 	}
 
 	// Typed invalid-query error from the unified endpoint.
-	resp = postJSON(t, ts.URL+"/v1/query", queryRequest{Query: c2mn.Query{Kind: "bogus"}})
+	resp = postJSON(t, ts.URL+"/v1/query", httpapi.QueryRequest{Query: c2mn.Query{Kind: "bogus"}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("/v1/query bad kind status = %s, want 400", resp.Status)
 	}
@@ -1075,7 +1078,7 @@ func TestServerV1TypedErrorsAndDeprecation(t *testing.T) {
 	}
 
 	// Unknown venue through the unified endpoint is typed 404.
-	resp = postJSON(t, ts.URL+"/v1/query", queryRequest{Query: c2mn.Query{
+	resp = postJSON(t, ts.URL+"/v1/query", httpapi.QueryRequest{Query: c2mn.Query{
 		Kind: c2mn.QueryPopularRegions, Venues: []string{"nowhere"},
 	}})
 	if resp.StatusCode != http.StatusNotFound {
@@ -1085,35 +1088,11 @@ func TestServerV1TypedErrorsAndDeprecation(t *testing.T) {
 	if te.Error.Code != "unknown_venue" {
 		t.Fatalf("unknown venue code = %q", te.Error.Code)
 	}
-
-	// The legacy route answers identically in substance but keeps the
-	// flat error string and carries the deprecation headers.
-	resp, err = http.Get(ts.URL + "/venues/nowhere/stats")
-	if err != nil || resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("legacy unknown venue: %v %v", resp.Status, err)
-	}
-	if resp.Header.Get("Deprecation") != "true" || !strings.Contains(resp.Header.Get("Link"), "/v1/venues/nowhere/stats") {
-		t.Fatalf("legacy deprecation headers = %v", resp.Header)
-	}
-	flat := decodeBody[map[string]string](t, resp)
-	if !strings.Contains(flat["error"], "unknown venue") {
-		t.Fatalf("legacy error body = %v", flat)
-	}
-
-	// /v1 success paths exist for the aliased routes too.
-	resp, err = http.Get(ts.URL + "/v1/healthz")
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/healthz: %v %v", resp.Status, err)
-	}
-	if resp.Header.Get("Deprecation") != "" {
-		t.Fatal("/v1 route carries a deprecation header")
-	}
-	resp.Body.Close()
 }
 
 // TestFeedBacklogResponseShape pins the 429 load-shedding contract of
 // /feed: backlog errors map to 429 with a Retry-After hint derived
-// from -feed-timeout, typed on /v1 and flat on legacy routes.
+// from -feed-timeout, the typed error next to the counts.
 func TestFeedBacklogResponseShape(t *testing.T) {
 	s := &server{retryAfterSecs: "1"}
 	withFeedRetryAfter(2500 * time.Millisecond)(s)
@@ -1126,17 +1105,14 @@ func TestFeedBacklogResponseShape(t *testing.T) {
 	}
 
 	backlog := fmt.Errorf("stream x: %w", c2mn.ErrBacklog)
-	if code := errorCode(http.StatusTooManyRequests, backlog); code != "backlog" {
-		t.Fatalf("backlog error code = %q", code)
-	}
 
-	// A backlog error maps to 429 + Retry-After; the v1 envelope
-	// carries the typed error next to the counts.
+	// A backlog error maps to 429 + Retry-After; the envelope carries
+	// the typed error next to the counts.
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest(http.MethodPost, "/v1/feed", nil)
 	s.writeIngestError(rec, req, backlog, feedResponse{Venue: "v", Fed: 3})
 	var v1 struct {
-		Error wireError `json:"error"`
+		Error httpapi.WireError `json:"error"`
 		feedResponse
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &v1); err != nil {
@@ -1147,21 +1123,6 @@ func TestFeedBacklogResponseShape(t *testing.T) {
 	}
 	if rec.Header().Get("Retry-After") != s.retryAfterSecs {
 		t.Fatalf("Retry-After = %q, want %q", rec.Header().Get("Retry-After"), s.retryAfterSecs)
-	}
-
-	// The legacy envelope keeps the flat error string.
-	rec = httptest.NewRecorder()
-	req = httptest.NewRequest(http.MethodPost, "/feed", nil)
-	s.writeIngestError(rec, req, backlog, feedResponse{Venue: "v", Fed: 3})
-	var legacy struct {
-		Error string `json:"error"`
-		feedResponse
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &legacy); err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Error == "" || !strings.Contains(legacy.Error, "backlog") {
-		t.Fatalf("legacy backlog response = %+v", legacy)
 	}
 
 	// A non-backlog ingestion failure stays a 422.

@@ -90,7 +90,7 @@ func TestServerVenueDrainLifecycle(t *testing.T) {
 
 	// Drain without a redirect: feeds 503 with Retry-After, queries
 	// keep answering, the venue listing flags the drain.
-	resp = postJSON(t, ts.URL+"/v1/venues/north/drain", nil)
+	resp = postJSON(t, ts.URL+"/v1/admin/venues/north/drain", nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("drain = %s", resp.Status)
 	}
@@ -127,7 +127,7 @@ func TestServerVenueDrainLifecycle(t *testing.T) {
 
 	// Cutover: re-drain with a redirect target; stragglers get 307 to
 	// the new owner's feed path.
-	resp = postJSON(t, ts.URL+"/v1/venues/north/drain", map[string]string{"redirect_to": "http://new-owner:8080"})
+	resp = postJSON(t, ts.URL+"/v1/admin/venues/north/drain", map[string]string{"redirect_to": "http://new-owner:8080"})
 	resp.Body.Close()
 	resp = feed()
 	if resp.StatusCode != http.StatusTemporaryRedirect {
@@ -139,7 +139,7 @@ func TestServerVenueDrainLifecycle(t *testing.T) {
 	resp.Body.Close()
 
 	// Undrain: service resumes.
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/venues/north/drain", nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/admin/venues/north/drain", nil)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func TestServerVenueDrainLifecycle(t *testing.T) {
 
 	// Undraining a venue that is not draining: 404. Draining an
 	// unknown venue: 404.
-	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/v1/venues/north/drain", nil)
+	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/v1/admin/venues/north/drain", nil)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +165,7 @@ func TestServerVenueDrainLifecycle(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("double undrain = %s, want 404", resp.Status)
 	}
-	resp = postJSON(t, ts.URL+"/v1/venues/nowhere/drain", nil)
+	resp = postJSON(t, ts.URL+"/v1/admin/venues/nowhere/drain", nil)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("drain unknown venue = %s, want 404", resp.Status)
@@ -188,14 +188,14 @@ func TestServerSnapshotFileTransfer(t *testing.T) {
 		})
 		resp.Body.Close()
 	}
-	resp := postJSON(t, src.URL+"/v1/venues/default/snapshot", nil)
+	resp := postJSON(t, src.URL+"/v1/admin/venues/default/snapshot", nil)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("snapshot trigger = %s", resp.Status)
 	}
 
 	// Download and compare with the on-disk file byte for byte.
-	resp, err := http.Get(src.URL + "/v1/venues/default/snapshot/file")
+	resp, err := http.Get(src.URL + "/v1/admin/venues/default/snapshot/file")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestServerSnapshotFileTransfer(t *testing.T) {
 		}
 		return resp
 	}
-	resp = put(dst.URL+"/v1/venues/default/snapshot/file", snap)
+	resp = put(dst.URL+"/v1/admin/venues/default/snapshot/file", snap)
 	if resp.StatusCode != http.StatusOK {
 		buf, _ := io.ReadAll(resp.Body)
 		t.Fatalf("snapshot upload = %s: %s", resp.Status, buf)
@@ -266,7 +266,7 @@ func TestServerSnapshotFileTransfer(t *testing.T) {
 	}
 
 	// Guard: restoring over live state is refused with a typed 409.
-	resp = put(dst.URL+"/v1/venues/default/snapshot/file", snap)
+	resp = put(dst.URL+"/v1/admin/venues/default/snapshot/file", snap)
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("double restore = %s, want 409", resp.Status)
 	}
@@ -276,7 +276,7 @@ func TestServerSnapshotFileTransfer(t *testing.T) {
 	}
 
 	// Guard: garbage is a typed 422, and the venue's state survives.
-	resp = put(dst.URL+"/v1/venues/default/snapshot/file", []byte("not a snapshot"))
+	resp = put(dst.URL+"/v1/admin/venues/default/snapshot/file", []byte("not a snapshot"))
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("garbage upload = %s, want 422", resp.Status)
 	}
@@ -287,14 +287,14 @@ func TestServerSnapshotFileTransfer(t *testing.T) {
 
 	// Guard: unknown venue 404; download without persistence 409;
 	// download before any snapshot 404.
-	resp = put(dst.URL+"/v1/venues/nowhere/snapshot/file", snap)
+	resp = put(dst.URL+"/v1/admin/venues/nowhere/snapshot/file", snap)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("upload to unknown venue = %s, want 404", resp.Status)
 	}
 	noDir := httptest.NewServer(newServer(registry, defaultMaxBody, ""))
 	defer noDir.Close()
-	resp, err = http.Get(noDir.URL + "/v1/venues/default/snapshot/file")
+	resp, err = http.Get(noDir.URL + "/v1/admin/venues/default/snapshot/file")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestServerSnapshotFileTransfer(t *testing.T) {
 	}
 	emptyDir := httptest.NewServer(newServer(coldReg, defaultMaxBody, "", withSnapshotDir(t.TempDir())))
 	defer emptyDir.Close()
-	resp, err = http.Get(emptyDir.URL + "/v1/venues/default/snapshot/file")
+	resp, err = http.Get(emptyDir.URL + "/v1/admin/venues/default/snapshot/file")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestServerSnapshotFileTransfer(t *testing.T) {
 	// The transfer endpoints are admin surface: token-gated both ways.
 	gated := httptest.NewServer(newServer(registry, defaultMaxBody, "s3cret", withSnapshotDir(srcDir)))
 	defer gated.Close()
-	resp, err = http.Get(gated.URL + "/v1/venues/default/snapshot/file")
+	resp, err = http.Get(gated.URL + "/v1/admin/venues/default/snapshot/file")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +324,7 @@ func TestServerSnapshotFileTransfer(t *testing.T) {
 	if resp.StatusCode != http.StatusUnauthorized {
 		t.Fatalf("tokenless download = %s, want 401", resp.Status)
 	}
-	resp = put(gated.URL+"/v1/venues/default/snapshot/file", snap)
+	resp = put(gated.URL+"/v1/admin/venues/default/snapshot/file", snap)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusUnauthorized {
 		t.Fatalf("tokenless upload = %s, want 401", resp.Status)
@@ -362,7 +362,7 @@ func TestServerSnapshotFreshnessColumns(t *testing.T) {
 		ObjectID: "obj", Records: toWire(test[0].P.Records),
 	})
 	resp.Body.Close()
-	resp = postJSON(t, ts.URL+"/v1/venues/north/snapshot", nil)
+	resp = postJSON(t, ts.URL+"/v1/admin/venues/north/snapshot", nil)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("snapshot = %s", resp.Status)

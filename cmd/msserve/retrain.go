@@ -7,12 +7,12 @@ package main
 // lives in the c2mn registry (WithRetrainPolicy).
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 
 	"c2mn"
+	"c2mn/internal/httpapi"
 )
 
 // labeledSequenceWire is one operator-labeled sequence on the wire:
@@ -79,22 +79,14 @@ func (s *server) decodeTruth(w http.ResponseWriter, r *http.Request) ([]c2mn.Lab
 		return nil, true
 	}
 	var req retrainRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody))
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, r, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
-			return nil, false
-		}
-		writeError(w, r, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !httpapi.DecodeBody(w, r, s.maxBody, &req) {
 		return nil, false
 	}
 	out := make([]c2mn.LabeledSequence, 0, len(req.Data))
 	for _, wi := range req.Data {
 		ls, err := toLabeledSequence(wi)
 		if err != nil {
-			writeError(w, r, http.StatusBadRequest, err)
+			httpapi.WriteError(w, r, http.StatusBadRequest, err)
 			return nil, false
 		}
 		out = append(out, ls)
@@ -114,13 +106,13 @@ func writeRetrainError(w http.ResponseWriter, r *http.Request, err error, d c2mn
 	case errors.Is(err, c2mn.ErrRetrainDisabled),
 		errors.Is(err, c2mn.ErrRetrainBusy),
 		errors.Is(err, c2mn.ErrRetrainConflict),
-		errors.Is(err, errVenueDraining):
+		errors.Is(err, httpapi.ErrVenueDraining):
 		status = http.StatusConflict
 	case errors.Is(err, c2mn.ErrRetrainSamples):
 		status = http.StatusUnprocessableEntity
 	}
 	if d.Outcome == "" {
-		writeError(w, r, status, err)
+		httpapi.WriteError(w, r, status, err)
 		return
 	}
 	writeErrorWith(w, r, status, err, map[string]any{"decision": d})
@@ -142,20 +134,19 @@ func (s *server) handleRetrain(w http.ResponseWriter, r *http.Request) {
 		writeRetrainError(w, r, err, d)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"venue": id, "decision": d})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"venue": id, "decision": d})
 }
 
 // handleRetrainStatus reports the venue's loop state: drift index,
 // reservoir sizes, cycle counters and the recent audit decisions.
 func (s *server) handleRetrainStatus(w http.ResponseWriter, r *http.Request) {
-	noStore(w)
 	id := r.PathValue("venue")
 	st, err := s.registry.RetrainStatus(id)
 	if err != nil {
 		writeRetrainError(w, r, err, c2mn.RetrainDecision{})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"venue": id, "retrain": st})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"venue": id, "retrain": st})
 }
 
 // handleRetrainFeedback records operator ground truth without starting
@@ -169,7 +160,7 @@ func (s *server) handleRetrainFeedback(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(truth) == 0 {
-		writeError(w, r, http.StatusBadRequest, errors.New("feedback requires labeled sequences in data"))
+		httpapi.WriteError(w, r, http.StatusBadRequest, errors.New("feedback requires labeled sequences in data"))
 		return
 	}
 	n, err := s.registry.RetrainFeedback(id, truth)
@@ -177,19 +168,19 @@ func (s *server) handleRetrainFeedback(w http.ResponseWriter, r *http.Request) {
 		writeRetrainError(w, r, err, c2mn.RetrainDecision{})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"venue": id, "status": "recorded", "sequences": n})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"venue": id, "status": "recorded", "sequences": n})
 }
 
 // handleVenueModel reports the identity of the model a venue currently
 // serves with — data plane, read-only, works with or without a
 // retraining policy.
 func (s *server) handleVenueModel(w http.ResponseWriter, r *http.Request) {
-	noStore(w)
+	httpapi.NoStore(w)
 	id := r.PathValue("venue")
 	info, err := s.registry.VenueModel(id)
 	if err != nil {
-		writeError(w, r, http.StatusNotFound, err)
+		httpapi.WriteError(w, r, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	httpapi.WriteJSON(w, http.StatusOK, info)
 }

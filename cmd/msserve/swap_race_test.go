@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"c2mn"
+	"c2mn/internal/httpapi"
 	"c2mn/internal/notify"
 )
 
@@ -123,7 +124,7 @@ func TestHotSwapUnderConcurrentTraffic(t *testing.T) {
 					return
 				default:
 				}
-				resp := postJSON(t, ts.URL+"/v1/query", queryRequest{Query: c2mn.Query{
+				resp := postJSON(t, ts.URL+"/v1/query", httpapi.QueryRequest{Query: c2mn.Query{
 					Kind: c2mn.QueryPopularRegions, Scope: c2mn.ScopeFleet,
 					Window: &allTime, K: 3,
 				}})
@@ -190,7 +191,7 @@ func TestHotSwapUnderConcurrentTraffic(t *testing.T) {
 		t.Fatalf("post-swap flush: %d", resp.StatusCode)
 	}
 	resp.Body.Close()
-	resp = postJSON(t, ts.URL+"/v1/query", queryRequest{Query: c2mn.Query{
+	resp = postJSON(t, ts.URL+"/v1/query", httpapi.QueryRequest{Query: c2mn.Query{
 		Kind: c2mn.QueryPopularRegions, Scope: c2mn.ScopeFleet,
 		Window: &allTime, K: 3,
 	}})

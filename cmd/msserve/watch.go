@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"c2mn"
+	"c2mn/internal/httpapi"
 	"c2mn/internal/notify"
 )
 
@@ -86,17 +87,17 @@ func watchAnswer(res c2mn.QueryResult) notify.Answer {
 func (s *server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	kind, err := watchKind(r)
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
+		httpapi.WriteError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	scope, venues, err := s.sugarScope(r)
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
+		httpapi.WriteError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	regions, win, k, err := sugarParams(r)
+	regions, win, k, err := httpapi.SugarParams(r)
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err)
+		httpapi.WriteError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	q := c2mn.Query{Kind: kind, Scope: scope, Venues: venues, Regions: regions, Window: win, K: k}
@@ -126,7 +127,7 @@ func (s *server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 	sw, err := notify.NewSSEWriter(w, 3*hb)
 	if err != nil {
-		writeError(w, r, http.StatusInternalServerError, err)
+		httpapi.WriteError(w, r, http.StatusInternalServerError, err)
 		return
 	}
 

@@ -380,7 +380,7 @@ func TestWatchUnloadGoodbye(t *testing.T) {
 		t.Fatalf("first event = %+v", ev)
 	}
 
-	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/venues/w", nil)
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/admin/venues/w", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -707,6 +707,24 @@ type EngineStats struct {
 	StoreNotifications int64
 }
 
+// Add accumulates o into s field by field — the fleet totals both
+// serving tiers report on /v1/stats. A counter left out here silently
+// vanishes from those totals; TestEngineStatsAddCoversEveryField
+// fails on the omission.
+func (s *EngineStats) Add(o EngineStats) {
+	s.FedRecords += o.FedRecords
+	s.PendingObjects += o.PendingObjects
+	s.PendingRecords += o.PendingRecords
+	s.EmittedSequences += o.EmittedSequences
+	s.FeedBatches += o.FeedBatches
+	s.StoredSequences += o.StoredSequences
+	s.StoredSemantics += o.StoredSemantics
+	s.QueryCacheHits += o.QueryCacheHits
+	s.QueryCacheMisses += o.QueryCacheMisses
+	s.QueryCacheRevalidations += o.QueryCacheRevalidations
+	s.StoreNotifications += o.StoreNotifications
+}
+
 // Stats reports the streaming pipeline's counters.
 func (e *Engine) Stats() EngineStats {
 	st := EngineStats{

@@ -493,3 +493,27 @@ func TestEngineChangeNotifier(t *testing.T) {
 		t.Fatalf("StoreNotifications = %d, want %d delivered signals", st.StoreNotifications, len(got))
 	}
 }
+
+// TestEngineStatsAddCoversEveryField sets every numeric field of an
+// EngineStats through reflection and requires Add to sum each one: a
+// counter added to the struct but not to Add would drop out of the
+// /v1/stats totals on both serving tiers (FeedBatches once did).
+func TestEngineStatsAddCoversEveryField(t *testing.T) {
+	var one, total EngineStats
+	v := reflect.ValueOf(&one).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if !f.CanInt() {
+			t.Fatalf("EngineStats.%s is %s: teach Add and this test how to sum it", v.Type().Field(i).Name, f.Kind())
+		}
+		f.SetInt(int64(i + 1))
+	}
+	total.Add(one)
+	total.Add(one)
+	got := reflect.ValueOf(total)
+	for i := 0; i < got.NumField(); i++ {
+		if want := int64(2 * (i + 1)); got.Field(i).Int() != want {
+			t.Errorf("Add drops EngineStats.%s: got %d, want %d", got.Type().Field(i).Name, got.Field(i).Int(), want)
+		}
+	}
+}

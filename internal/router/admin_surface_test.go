@@ -1,8 +1,9 @@
 package router
 
-// Tests for the consolidated /v1/admin mirror: the deprecated /admin/*
-// aliases' steering headers, the proxied backend admin tree with the
-// retrain/migration guard, and the typed 404/405 envelope.
+// Tests for the router's /v1/admin plane: the token chokepoint on
+// every mount, the route inventory and the typed 404/405 the removed
+// mounts answer, and the proxied backend admin tree with the
+// retrain/migration guard.
 
 import (
 	"encoding/json"
@@ -10,6 +11,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"c2mn/internal/httpapi"
 )
 
 func adminReq(t *testing.T, method, url, token string) *http.Response {
@@ -32,7 +35,7 @@ func adminReq(t *testing.T, method, url, token string) *http.Response {
 func envelopeCode(t *testing.T, resp *http.Response) string {
 	t.Helper()
 	var body struct {
-		Error wireError `json:"error"`
+		Error httpapi.WireError `json:"error"`
 	}
 	defer resp.Body.Close()
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
@@ -41,21 +44,46 @@ func envelopeCode(t *testing.T, resp *http.Response) string {
 	return body.Error.Code
 }
 
-// TestRouterAdminMirror: the router's own admin plane answers under
-// /v1/admin/, the /admin/* mounts alias it with deprecation steering,
-// and both share the token gate.
+// TestRouterAdminMirror pins the router's token chokepoint: every one
+// of its own /v1/admin mounts refuses without the bearer token and
+// clears auth with it, and — authorized or not — answers
+// Cache-Control: no-store.
 func TestRouterAdminMirror(t *testing.T) {
 	a := newFakeBackend(t)
 	a.venues["north"] = &fakeVenue{}
 	rt := testRouter(t, Config{AdminToken: "sesame"}, a)
 	srv := routerServer(t, rt)
 
-	for _, path := range []string{"/v1/admin/backends", "/admin/backends"} {
-		resp := adminReq(t, "GET", srv.URL+path, "")
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusUnauthorized {
-			t.Errorf("GET %s without token: %d, want 401", path, resp.StatusCode)
+	mounts := 0
+	for _, r := range rt.routes() {
+		method, path, _ := strings.Cut(r.pattern, " ")
+		if !strings.HasPrefix(path, "/v1/admin/") || strings.HasPrefix(path, "/v1/admin/venues") {
+			continue // the venues tree proxies; the backend gates it
 		}
+		mounts++
+		for _, token := range []string{"", "wrong", "sesame"} {
+			resp := adminReq(t, method, srv.URL+path, token)
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if got := resp.Header.Get("Cache-Control"); got != "no-store" {
+				t.Errorf("%s %s token %q: Cache-Control %q, want no-store", method, path, token, got)
+			}
+			if token == "sesame" {
+				if resp.StatusCode == http.StatusUnauthorized {
+					t.Errorf("%s %s with the token: still 401", method, path)
+				}
+				continue
+			}
+			if resp.StatusCode != http.StatusUnauthorized {
+				t.Errorf("%s %s token %q: %d, want 401", method, path, token, resp.StatusCode)
+			}
+			if got := resp.Header.Get("WWW-Authenticate"); got != "Bearer" {
+				t.Errorf("%s %s WWW-Authenticate %q", method, path, got)
+			}
+		}
+	}
+	if mounts != 7 {
+		t.Fatalf("route table holds %d router admin mounts, want 7", mounts)
 	}
 
 	resp := adminReq(t, "GET", srv.URL+"/v1/admin/backends", "sesame")
@@ -64,21 +92,55 @@ func TestRouterAdminMirror(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /v1/admin/backends: %d", resp.StatusCode)
 	}
-	if got := resp.Header.Get("Deprecation"); got != "" {
-		t.Errorf("canonical mount marked deprecated: %q", got)
+}
+
+// TestRouterRouteInventory pins the one route generation: every
+// mounted pattern lives under /v1/ except the two bare probes, and the
+// removed mounts answer the typed 404/405 with nothing steering
+// anywhere — before any backend is consulted.
+func TestRouterRouteInventory(t *testing.T) {
+	a := newFakeBackend(t)
+	a.venues["north"] = &fakeVenue{}
+	rt := testRouter(t, Config{}, a)
+	srv := routerServer(t, rt)
+
+	for _, r := range rt.routes() {
+		path := r.pattern
+		if _, rest, ok := strings.Cut(r.pattern, " "); ok {
+			path = rest
+		}
+		if !strings.HasPrefix(path, "/v1/") && r.pattern != "GET /healthz" && r.pattern != "GET /readyz" {
+			t.Errorf("%q is mounted outside /v1/", r.pattern)
+		}
 	}
 
-	resp = adminReq(t, "GET", srv.URL+"/admin/backends", "sesame")
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /admin/backends: %d", resp.StatusCode)
+	for _, removed := range []struct {
+		method, path string
+		status       int
+	}{
+		{"GET", "/admin/backends", 404}, {"POST", "/admin/backends", 404}, {"DELETE", "/admin/backends", 404},
+		{"GET", "/admin/assignments", 404}, {"POST", "/admin/pins", 404}, {"DELETE", "/admin/pins", 404},
+		{"POST", "/admin/migrate", 404},
+		// The load mount's old home meets the listing's GET, the unload's
+		// meets nothing.
+		{"POST", "/v1/venues", 405}, {"DELETE", "/v1/venues/north", 404},
+	} {
+		resp := adminReq(t, removed.method, srv.URL+removed.path, "")
+		if resp.StatusCode != removed.status {
+			t.Errorf("%s %s: %d, want %d", removed.method, removed.path, resp.StatusCode, removed.status)
+		}
+		for _, h := range []string{"Deprecation", "Link"} {
+			if got := resp.Header.Get(h); got != "" {
+				t.Errorf("%s %s carries %s: %q", removed.method, removed.path, h, got)
+			}
+		}
+		want := map[int]string{404: "not_found", 405: "method_not_allowed"}[removed.status]
+		if code := envelopeCode(t, resp); code != want {
+			t.Errorf("%s %s: code %q, want %q", removed.method, removed.path, code, want)
+		}
 	}
-	if got := resp.Header.Get("Deprecation"); got != "true" {
-		t.Errorf("alias Deprecation %q, want true", got)
-	}
-	if got, want := resp.Header.Get("Link"), `</v1/admin/backends>; rel="successor-version"`; got != want {
-		t.Errorf("alias Link %q, want %q", got, want)
+	if log := a.callLog(); len(log) != 0 {
+		t.Fatalf("a removed mount reached the backend: %v", log)
 	}
 }
 
@@ -130,8 +192,8 @@ func TestRouterProxiesAdminVenueTree(t *testing.T) {
 	}
 }
 
-// TestRouterV1Envelope405And404: the router's mux errors under /v1
-// carry the typed envelope with Allow preserved.
+// TestRouterV1Envelope405And404: the router's mux errors carry the
+// typed envelope with Allow preserved.
 func TestRouterV1Envelope405And404(t *testing.T) {
 	a := newFakeBackend(t)
 	a.venues["north"] = &fakeVenue{}

@@ -72,7 +72,7 @@ func (rt *Router) Migrate(ctx context.Context, venue, to string) (MigrationRepor
 
 	// 1. Drain: the source keeps answering queries but rejects feeds
 	// with a retryable 503, so the state we snapshot stops moving.
-	if err := rt.backendJSON(ctx, http.MethodPost, venuePath(source, venue, "drain"), []byte("{}"), nil); err != nil {
+	if err := rt.backendJSON(ctx, http.MethodPost, adminVenuePath(source, venue, "drain"), []byte("{}"), nil); err != nil {
 		return report, fmt.Errorf("draining %q on %s: %w", venue, source, err)
 	}
 	rollback := func(cause error) (MigrationReport, error) {
@@ -80,7 +80,7 @@ func (rt *Router) Migrate(ctx context.Context, venue, to string) (MigrationRepor
 		// even when the caller's ctx caused the failure.
 		undrainCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 5*time.Second)
 		defer cancel()
-		if err := rt.backendJSON(undrainCtx, http.MethodDelete, venuePath(source, venue, "drain"), nil, nil); err != nil {
+		if err := rt.backendJSON(undrainCtx, http.MethodDelete, adminVenuePath(source, venue, "drain"), nil, nil); err != nil {
 			rt.cfg.Logf("migration rollback: undraining %q on %s failed: %v", venue, source, err)
 		}
 		return report, cause
@@ -94,7 +94,7 @@ func (rt *Router) Migrate(ctx context.Context, venue, to string) (MigrationRepor
 	}
 
 	// 3. Snapshot and transfer.
-	if err := rt.backendJSON(ctx, http.MethodPost, venuePath(source, venue, "snapshot"), nil, nil); err != nil {
+	if err := rt.backendJSON(ctx, http.MethodPost, adminVenuePath(source, venue, "snapshot"), nil, nil); err != nil {
 		return rollback(fmt.Errorf("snapshotting %q on %s: %w", venue, source, err))
 	}
 	snap, err := rt.fetchSnapshot(ctx, source, venue)
@@ -115,11 +115,11 @@ func (rt *Router) Migrate(ctx context.Context, venue, to string) (MigrationRepor
 	// 5. Redirect stragglers, 6. retire the source copy. Both are
 	// cleanup on a backend that no longer owns the venue: log, don't
 	// fail the migration.
-	if err := rt.backendJSON(ctx, http.MethodPost, venuePath(source, venue, "drain"),
+	if err := rt.backendJSON(ctx, http.MethodPost, adminVenuePath(source, venue, "drain"),
 		[]byte(fmt.Sprintf(`{"redirect_to":%q}`, to)), nil); err != nil {
 		rt.cfg.Logf("migration: setting cutover redirect for %q on %s failed: %v", venue, source, err)
 	}
-	if err := rt.backendJSON(ctx, http.MethodDelete, venuePath(source, venue, ""), nil, nil); err != nil {
+	if err := rt.backendJSON(ctx, http.MethodDelete, adminVenuePath(source, venue, ""), nil, nil); err != nil {
 		rt.cfg.Logf("migration: unloading %q from %s failed: %v", venue, source, err)
 	}
 
@@ -162,7 +162,7 @@ func (rt *Router) fetchSnapshot(ctx context.Context, backend, venue string) ([]b
 	if rt.cfg.BackendToken != "" {
 		header.Set("Authorization", "Bearer "+rt.cfg.BackendToken)
 	}
-	target := venuePath(backend, venue, "snapshot/file")
+	target := adminVenuePath(backend, venue, "snapshot/file")
 	resp, err := rt.roundTrip(ctx, http.MethodGet, target, header, nil)
 	if err != nil {
 		return nil, err
@@ -184,7 +184,7 @@ func (rt *Router) uploadSnapshot(ctx context.Context, backend, venue string, sna
 	if rt.cfg.BackendToken != "" {
 		header.Set("Authorization", "Bearer "+rt.cfg.BackendToken)
 	}
-	target := venuePath(backend, venue, "snapshot/file")
+	target := adminVenuePath(backend, venue, "snapshot/file")
 	resp, err := rt.roundTrip(ctx, http.MethodPut, target, header, snap)
 	if err != nil {
 		return err

@@ -14,11 +14,12 @@ import (
 	"time"
 
 	"c2mn"
+	"c2mn/internal/httpapi"
 )
 
-// handleVenueScoped forwards any /v1/venues/{venue}[/...] request to
-// the venue's owning backend: annotate, feed, flush, the query
-// sugars, per-venue stats, snapshot and drain admin, unload.
+// handleVenueScoped forwards a venue-scoped request — the data plane
+// under /v1/venues/{venue}/..., the unload at /v1/admin/venues/{venue}
+// — to the venue's owning backend.
 func (rt *Router) handleVenueScoped(w http.ResponseWriter, r *http.Request) {
 	rt.forwardToOwner(w, r, r.PathValue("venue"))
 }
@@ -37,7 +38,7 @@ func (rt *Router) handleAdminVenueScoped(w http.ResponseWriter, r *http.Request)
 		migrating := rt.migrating[venue]
 		rt.mu.RUnlock()
 		if migrating {
-			rt.writeError(w, r, http.StatusConflict,
+			httpapi.WriteError(w, r, http.StatusConflict,
 				fmt.Errorf("%w: venue %q is migrating; retry after the cutover", c2mn.ErrMigrationConflict, venue))
 			return
 		}
@@ -53,7 +54,7 @@ func (rt *Router) handleBareVenuePath(w http.ResponseWriter, r *http.Request) {
 	if venue == "" {
 		known := rt.knownVenues()
 		if len(known) != 1 {
-			rt.writeError(w, r, http.StatusBadRequest,
+			httpapi.WriteError(w, r, http.StatusBadRequest,
 				fmt.Errorf("%d venue(s) in the fleet: pass ?venue=", len(known)))
 			return
 		}
@@ -63,12 +64,12 @@ func (rt *Router) handleBareVenuePath(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleLoadVenue places a new venue: HRW over the ready backends
-// decides where POST /v1/venues lands (the body names server-side
-// file paths, so the owning backend loads from its own disk).
+// decides where POST /v1/admin/venues lands (the body names
+// server-side file paths, so the owning backend loads from its own
+// disk).
 func (rt *Router) handleLoadVenue(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBody))
-	if err != nil {
-		rt.writeBodyError(w, r, err)
+	body, ok := httpapi.ReadBody(w, r, rt.cfg.MaxBody, "request body")
+	if !ok {
 		return
 	}
 	var req struct {
@@ -79,12 +80,12 @@ func (rt *Router) handleLoadVenue(w http.ResponseWriter, r *http.Request) {
 	_ = json.Unmarshal(body, &req)
 	venue := req.Venue
 	if venue == "" {
-		rt.writeError(w, r, http.StatusBadRequest, errors.New("venue is required"))
+		httpapi.WriteError(w, r, http.StatusBadRequest, errors.New("venue is required"))
 		return
 	}
 	backend, err := rt.owner(venue)
 	if err != nil {
-		rt.writeError(w, r, http.StatusServiceUnavailable, err)
+		httpapi.WriteError(w, r, http.StatusServiceUnavailable, err)
 		return
 	}
 	rt.forward(w, r, backend, body)
@@ -94,31 +95,19 @@ func (rt *Router) handleLoadVenue(w http.ResponseWriter, r *http.Request) {
 // buffering the body so transport-level retries can replay it.
 func (rt *Router) forwardToOwner(w http.ResponseWriter, r *http.Request, venue string) {
 	if venue == "" {
-		rt.writeError(w, r, http.StatusBadRequest, errors.New("empty venue ID"))
+		httpapi.WriteError(w, r, http.StatusBadRequest, errors.New("empty venue ID"))
 		return
 	}
 	backend, err := rt.owner(venue)
 	if err != nil {
-		rt.writeError(w, r, http.StatusServiceUnavailable, err)
+		httpapi.WriteError(w, r, http.StatusServiceUnavailable, err)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBody))
-	if err != nil {
-		rt.writeBodyError(w, r, err)
+	body, ok := httpapi.ReadBody(w, r, rt.cfg.MaxBody, "request body")
+	if !ok {
 		return
 	}
 	rt.forward(w, r, backend, body)
-}
-
-// writeBodyError phrases a request-body read failure.
-func (rt *Router) writeBodyError(w http.ResponseWriter, r *http.Request, err error) {
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		rt.writeError(w, r, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
-		return
-	}
-	rt.writeError(w, r, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
 }
 
 // forward proxies one buffered request to a backend and streams the
@@ -136,7 +125,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, backend string
 	resp, err := rt.roundTrip(r.Context(), r.Method, target, r.Header, body)
 	if err != nil {
 		rt.markUnreachable(backend, err)
-		rt.writeError(w, r, http.StatusBadGateway,
+		httpapi.WriteError(w, r, http.StatusBadGateway,
 			fmt.Errorf("backend %s unreachable: %w", backend, err))
 		return
 	}
@@ -146,7 +135,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, backend string
 			resp.Body.Close()
 			redirected, err := rt.roundTrip(r.Context(), r.Method, loc, r.Header, body)
 			if err != nil {
-				rt.writeError(w, r, http.StatusBadGateway,
+				httpapi.WriteError(w, r, http.StatusBadGateway,
 					fmt.Errorf("following migration redirect to %s: %w", loc, err))
 				return
 			}
@@ -269,7 +258,7 @@ func (rt *Router) backendFetch(ctx context.Context, method, target string, body 
 // them so errors.Is works across the process boundary.
 func backendError(method, target string, status int, body []byte) error {
 	var payload struct {
-		Error wireError `json:"error"`
+		Error httpapi.WireError `json:"error"`
 	}
 	msg := strings.TrimSpace(string(body))
 	var sentinel error
@@ -295,9 +284,15 @@ func backendError(method, target string, status int, body []byte) error {
 	return err
 }
 
-// venuePath builds a backend /v1/venues/{venue} subresource URL.
+// venuePath builds a backend /v1/venues/{venue}/{sub} data-plane URL.
 func venuePath(backend, venue, sub string) string {
-	p := backend + "/v1/venues/" + url.PathEscape(venue)
+	return backend + "/v1/venues/" + url.PathEscape(venue) + "/" + sub
+}
+
+// adminVenuePath builds a backend /v1/admin/venues/{venue}[/{sub}] URL:
+// the token-gated primitives a migration sequences.
+func adminVenuePath(backend, venue, sub string) string {
+	p := backend + "/v1/admin/venues/" + url.PathEscape(venue)
 	if sub != "" {
 		p += "/" + sub
 	}

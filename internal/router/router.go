@@ -3,7 +3,6 @@ package router
 import (
 	"context"
 	"crypto/rand"
-	"crypto/subtle"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -16,6 +15,7 @@ import (
 	"time"
 
 	"c2mn"
+	"c2mn/internal/httpapi"
 	"c2mn/internal/lru"
 )
 
@@ -24,10 +24,10 @@ import (
 type Config struct {
 	// Backends seeds the backend table with msserve base URLs
 	// (e.g. "http://10.0.0.7:8080"). More can be added and removed at
-	// runtime through /admin/backends.
+	// runtime through /v1/admin/backends.
 	Backends []string
 
-	// AdminToken gates the router's own /admin plane behind
+	// AdminToken gates the router's own /v1/admin plane behind
 	// `Authorization: Bearer <token>`. Empty leaves it open.
 	AdminToken string
 
@@ -99,9 +99,9 @@ type Config struct {
 // Router is the stateless routing tier. Create with New, mount as an
 // http.Handler, and run the health loop with Run.
 type Router struct {
-	cfg    Config
-	client *http.Client
-	mux    *http.ServeMux
+	cfg     Config
+	client  *http.Client
+	handler http.Handler // the route table behind httpapi.Wrap
 
 	mu        sync.RWMutex
 	backends  map[string]*backendState
@@ -116,7 +116,7 @@ type Router struct {
 	partialMu sync.Mutex
 	partials  *lru.Cache[string, scatterPartial]
 
-	// Partial-cache counters, reported on /admin/backends.
+	// Partial-cache counters, reported on /v1/admin/backends.
 	partialHits   atomic.Int64 // 304: cached partial reused as-is
 	partialMisses atomic.Int64 // full fetch: cold key or moved store
 	partialRevals atomic.Int64 // conditional requests sent
@@ -215,7 +215,11 @@ func New(cfg Config) (*Router, error) {
 		}
 		rt.backends[u] = &backendState{url: u, venues: map[string]bool{}}
 	}
-	rt.mux = rt.routes()
+	mux := http.NewServeMux()
+	for _, r := range rt.routes() {
+		mux.HandleFunc(r.pattern, r.h)
+	}
+	rt.handler = httpapi.Wrap(mux)
 	return rt, nil
 }
 
@@ -223,24 +227,11 @@ func New(cfg Config) (*Router, error) {
 // request with an X-Request-ID (generated when the client sent none)
 // that is echoed on the response and forwarded to the backends.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Header.Get(requestIDHeader) == "" {
-		r.Header.Set(requestIDHeader, newRequestID())
+	if r.Header.Get(httpapi.RequestIDHeader) == "" {
+		r.Header.Set(httpapi.RequestIDHeader, newRequestID())
 	}
-	w.Header().Set(requestIDHeader, r.Header.Get(requestIDHeader))
-	if strings.HasPrefix(r.URL.Path, "/v1/") {
-		// Mux-generated 404/405s under /v1 get the typed envelope like
-		// every router- or backend-originated error (see wire.go).
-		ew := &envelopeWriter{ResponseWriter: w, r: r}
-		rt.mux.ServeHTTP(ew, r)
-		ew.finish(rt)
-		return
-	}
-	rt.mux.ServeHTTP(w, r)
+	rt.handler.ServeHTTP(w, r)
 }
-
-// requestIDHeader correlates one request across the router and the
-// backend that served it; both embed it in /v1 error payloads.
-const requestIDHeader = "X-Request-ID"
 
 // newRequestID returns a fresh 16-hex-char request ID.
 func newRequestID() string {
@@ -251,65 +242,64 @@ func newRequestID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// routes assembles the route table: the router's own health and admin
+// route is one mounted pattern of the route table.
+type route struct {
+	pattern string
+	h       http.HandlerFunc
+}
+
+// routes lists the route table: the router's own health and admin
 // planes, plus the proxied /v1 tree (see proxy.go and scatter.go).
-func (rt *Router) routes() *http.ServeMux {
-	mux := http.NewServeMux()
-	// The router's own probes. Liveness is unconditional; readiness
-	// requires at least one ready backend — a router that can place
-	// nothing should be pulled from its load balancer.
-	mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	mux.HandleFunc("GET /v1/healthz", rt.handleHealthz)
-	mux.HandleFunc("GET /readyz", rt.handleReadyz)
-	mux.HandleFunc("GET /v1/readyz", rt.handleReadyz)
-	// Admin plane: backend table, placement, migration. Canonical
-	// under /v1/admin/ — mirroring the backends' consolidation — with
-	// the pre-consolidation /admin/* mounts kept as deprecated aliases
-	// steering to the successor.
-	adminRoutes := []struct {
-		pattern string
-		h       http.HandlerFunc
-	}{
-		{"GET /backends", rt.handleListBackends},
-		{"POST /backends", rt.handleAddBackend},
-		{"DELETE /backends", rt.handleRemoveBackend},
-		{"GET /assignments", rt.handleAssignments},
-		{"POST /pins", rt.handleSetPin},
-		{"DELETE /pins", rt.handleDeletePin},
-		{"POST /migrate", rt.handleMigrate},
+// Outside /v1/ only the bare probes are mounted.
+func (rt *Router) routes() []route {
+	routes := []route{
+		// The router's own probes. Liveness is unconditional; readiness
+		// requires at least one ready backend — a router that can place
+		// nothing should be pulled from its load balancer.
+		{"GET /healthz", rt.handleHealthz},
+		{"GET /v1/healthz", rt.handleHealthz},
+		{"GET /readyz", rt.handleReadyz},
+		{"GET /v1/readyz", rt.handleReadyz},
+		// The backends' admin tree (/v1/admin/venues/...) proxies to the
+		// venue's owner verbatim — the backend enforces its own token, and
+		// the client's Authorization header is forwarded. The venue-scoped
+		// subpaths go through the retrain/migration guard.
+		{"POST /v1/admin/venues", rt.handleLoadVenue},
+		{"/v1/admin/venues/{venue}", rt.handleVenueScoped},
+		{"/v1/admin/venues/{venue}/{rest...}", rt.handleAdminVenueScoped},
+		// Proxied data plane.
+		{"POST /v1/query", rt.handleQuery},
+		{"GET /v1/query/popular-regions", rt.handleTopKSugar},
+		{"GET /v1/query/frequent-pairs", rt.handleTopKSugar},
+		{"GET /v1/stats", rt.handleStats},
+		{"GET /v1/venues", rt.handleListVenues},
+		{"/v1/venues/{venue}/{rest...}", rt.handleVenueScoped},
+		// No data-plane route ends at the venue itself; mounted so the mux
+		// answers 404 instead of redirecting into the subtree above.
+		{"/v1/venues/{venue}", http.NotFound},
+		{"POST /v1/annotate", rt.handleBareVenuePath},
+		{"POST /v1/feed", rt.handleBareVenuePath},
+		{"POST /v1/flush", rt.handleFlush},
+		// Continuous queries: the fleet push plane (see watch.go). The
+		// venue-scoped literal pattern outranks the {rest...} catch-all
+		// above, so watch streams never hit the buffering proxy path.
+		{"GET /v1/watch", rt.handleWatch},
+		{"GET /v1/venues/{venue}/watch", rt.handleWatch},
 	}
-	for _, a := range adminRoutes {
-		method, path, _ := strings.Cut(a.pattern, " ")
-		h := rt.admin(a.h)
-		mux.HandleFunc(method+" /v1/admin"+path, h)
-		mux.HandleFunc(method+" /admin"+path, deprecatedAdmin(h))
+	// The router's own admin plane: backend table, placement,
+	// migration, every route behind the one token check.
+	for _, a := range []route{
+		{"GET /v1/admin/backends", rt.handleListBackends},
+		{"POST /v1/admin/backends", rt.handleAddBackend},
+		{"DELETE /v1/admin/backends", rt.handleRemoveBackend},
+		{"GET /v1/admin/assignments", rt.handleAssignments},
+		{"POST /v1/admin/pins", rt.handleSetPin},
+		{"DELETE /v1/admin/pins", rt.handleDeletePin},
+		{"POST /v1/admin/migrate", rt.handleMigrate},
+	} {
+		routes = append(routes, route{a.pattern, httpapi.Admin(rt.cfg.AdminToken, a.h)})
 	}
-	// The backends' consolidated admin tree (/v1/admin/venues/...)
-	// proxies to the venue's owner verbatim — the backend enforces its
-	// own token, and the client's Authorization header is forwarded.
-	// POST /v1/admin/venues places a new venue like POST /v1/venues;
-	// the venue-scoped rest goes through the retrain/migration guard.
-	mux.HandleFunc("POST /v1/admin/venues", rt.handleLoadVenue)
-	mux.HandleFunc("/v1/admin/venues/{venue}", rt.handleVenueScoped)
-	mux.HandleFunc("/v1/admin/venues/{venue}/{rest...}", rt.handleAdminVenueScoped)
-	// Proxied data plane.
-	mux.HandleFunc("POST /v1/query", rt.handleQuery)
-	mux.HandleFunc("GET /v1/query/popular-regions", rt.handleTopKSugar)
-	mux.HandleFunc("GET /v1/query/frequent-pairs", rt.handleTopKSugar)
-	mux.HandleFunc("GET /v1/stats", rt.handleStats)
-	mux.HandleFunc("GET /v1/venues", rt.handleListVenues)
-	mux.HandleFunc("POST /v1/venues", rt.handleLoadVenue)
-	mux.HandleFunc("/v1/venues/{venue}", rt.handleVenueScoped)
-	mux.HandleFunc("/v1/venues/{venue}/{rest...}", rt.handleVenueScoped)
-	mux.HandleFunc("POST /v1/annotate", rt.handleBareVenuePath)
-	mux.HandleFunc("POST /v1/feed", rt.handleBareVenuePath)
-	mux.HandleFunc("POST /v1/flush", rt.handleFlush)
-	// Continuous queries: the fleet push plane (see watch.go). The
-	// venue-scoped literal pattern outranks the {rest...} catch-alls
-	// above, so watch streams never hit the buffering proxy path.
-	mux.HandleFunc("GET /v1/watch", rt.handleWatch)
-	mux.HandleFunc("GET /v1/venues/{venue}/watch", rt.handleWatch)
-	return mux
+	return routes
 }
 
 // StopWatches tells every open client watch stream to say goodbye and
@@ -515,50 +505,20 @@ func (rt *Router) readyBackends() []string {
 }
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	noStore(w)
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	httpapi.NoStore(w)
+	httpapi.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	noStore(w)
+	httpapi.NoStore(w)
 	if len(rt.readyBackends()) > 0 {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 		return
 	}
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no ready backends"})
+	httpapi.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "no ready backends"})
 }
 
-// admin wraps a handler with the router's bearer-token gate. Admin
-// responses are uncacheable by construction: beyond being stale the
-// moment placement moves, a cache in front of a token-gated endpoint
-// could replay an authorized response to an unauthorized caller.
-func (rt *Router) admin(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		noStore(w)
-		if rt.cfg.AdminToken != "" {
-			token, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
-			if !ok || subtle.ConstantTimeCompare([]byte(token), []byte(rt.cfg.AdminToken)) != 1 {
-				w.Header().Set("WWW-Authenticate", "Bearer")
-				rt.writeError(w, r, http.StatusUnauthorized, errors.New("admin endpoint requires a valid bearer token"))
-				return
-			}
-		}
-		h(w, r)
-	}
-}
-
-// deprecatedAdmin marks a pre-consolidation /admin/* mount: same
-// wrapped handler as its /v1/admin twin, plus RFC 8594-style headers
-// steering clients to the consolidated successor.
-func deprecatedAdmin(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</v1`+r.URL.Path+`>; rel="successor-version"`)
-		h(w, r)
-	}
-}
-
-// backendInfo is one row of the /admin/backends listing.
+// backendInfo is one row of the /v1/admin/backends listing.
 type backendInfo struct {
 	URL           string   `json:"url"`
 	Ready         bool     `json:"ready"`
@@ -586,7 +546,7 @@ func (rt *Router) handleListBackends(w http.ResponseWriter, r *http.Request) {
 	rt.partialMu.Lock()
 	entries := rt.partials.Len()
 	rt.partialMu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 		"backends": out,
 		"scatter_cache": map[string]any{
 			"entries":       entries,
@@ -603,13 +563,12 @@ func (rt *Router) handleAddBackend(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		URL string `json:"url"`
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBody)).Decode(&req); err != nil {
-		rt.writeError(w, r, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !httpapi.DecodeBody(w, r, rt.cfg.MaxBody, &req) {
 		return
 	}
 	u := strings.TrimSuffix(strings.TrimSpace(req.URL), "/")
 	if !strings.HasPrefix(u, "http://") && !strings.HasPrefix(u, "https://") {
-		rt.writeError(w, r, http.StatusBadRequest, fmt.Errorf("backend %q: want an http(s) base URL", req.URL))
+		httpapi.WriteError(w, r, http.StatusBadRequest, fmt.Errorf("backend %q: want an http(s) base URL", req.URL))
 		return
 	}
 	rt.mu.Lock()
@@ -620,13 +579,13 @@ func (rt *Router) handleAddBackend(w http.ResponseWriter, r *http.Request) {
 	// Probe immediately so the new backend can take traffic without
 	// waiting out a health interval.
 	rt.probe(r.Context(), u)
-	writeJSON(w, http.StatusCreated, map[string]string{"url": u, "status": "added"})
+	httpapi.WriteJSON(w, http.StatusCreated, map[string]string{"url": u, "status": "added"})
 }
 
 func (rt *Router) handleRemoveBackend(w http.ResponseWriter, r *http.Request) {
 	u := strings.TrimSuffix(r.URL.Query().Get("url"), "/")
 	if u == "" {
-		rt.writeError(w, r, http.StatusBadRequest, errors.New("pass ?url=<backend base URL>"))
+		httpapi.WriteError(w, r, http.StatusBadRequest, errors.New("pass ?url=<backend base URL>"))
 		return
 	}
 	rt.mu.Lock()
@@ -634,13 +593,13 @@ func (rt *Router) handleRemoveBackend(w http.ResponseWriter, r *http.Request) {
 	delete(rt.backends, u)
 	rt.mu.Unlock()
 	if !ok {
-		rt.writeError(w, r, http.StatusNotFound, fmt.Errorf("backend %q not in the table", u))
+		httpapi.WriteError(w, r, http.StatusNotFound, fmt.Errorf("backend %q not in the table", u))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"url": u, "status": "removed"})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]string{"url": u, "status": "removed"})
 }
 
-// assignment is one row of the /admin/assignments listing: where a
+// assignment is one row of the /v1/admin/assignments listing: where a
 // venue's traffic currently goes and why.
 type assignment struct {
 	Venue   string `json:"venue"`
@@ -665,7 +624,7 @@ func (rt *Router) handleAssignments(w http.ResponseWriter, r *http.Request) {
 		out = append(out, row)
 	}
 	rt.mu.RUnlock()
-	writeJSON(w, http.StatusOK, map[string]any{"assignments": out})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"assignments": out})
 }
 
 func (rt *Router) handleSetPin(w http.ResponseWriter, r *http.Request) {
@@ -673,13 +632,12 @@ func (rt *Router) handleSetPin(w http.ResponseWriter, r *http.Request) {
 		Venue   string `json:"venue"`
 		Backend string `json:"backend"`
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBody)).Decode(&req); err != nil {
-		rt.writeError(w, r, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !httpapi.DecodeBody(w, r, rt.cfg.MaxBody, &req) {
 		return
 	}
 	req.Backend = strings.TrimSuffix(req.Backend, "/")
 	if req.Venue == "" || req.Backend == "" {
-		rt.writeError(w, r, http.StatusBadRequest, errors.New("venue and backend are required"))
+		httpapi.WriteError(w, r, http.StatusBadRequest, errors.New("venue and backend are required"))
 		return
 	}
 	rt.mu.Lock()
@@ -689,16 +647,16 @@ func (rt *Router) handleSetPin(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.mu.Unlock()
 	if !known {
-		rt.writeError(w, r, http.StatusNotFound, fmt.Errorf("backend %q not in the table", req.Backend))
+		httpapi.WriteError(w, r, http.StatusNotFound, fmt.Errorf("backend %q not in the table", req.Backend))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"venue": req.Venue, "backend": req.Backend, "status": "pinned"})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]string{"venue": req.Venue, "backend": req.Backend, "status": "pinned"})
 }
 
 func (rt *Router) handleDeletePin(w http.ResponseWriter, r *http.Request) {
 	v := r.URL.Query().Get("venue")
 	if v == "" {
-		rt.writeError(w, r, http.StatusBadRequest, errors.New("pass ?venue="))
+		httpapi.WriteError(w, r, http.StatusBadRequest, errors.New("pass ?venue="))
 		return
 	}
 	rt.mu.Lock()
@@ -706,10 +664,10 @@ func (rt *Router) handleDeletePin(w http.ResponseWriter, r *http.Request) {
 	delete(rt.pins, v)
 	rt.mu.Unlock()
 	if !ok {
-		rt.writeError(w, r, http.StatusNotFound, fmt.Errorf("venue %q is not pinned", v))
+		httpapi.WriteError(w, r, http.StatusNotFound, fmt.Errorf("venue %q is not pinned", v))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"venue": v, "status": "unpinned"})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]string{"venue": v, "status": "unpinned"})
 }
 
 func (rt *Router) handleMigrate(w http.ResponseWriter, r *http.Request) {
@@ -717,27 +675,26 @@ func (rt *Router) handleMigrate(w http.ResponseWriter, r *http.Request) {
 		Venue string `json:"venue"`
 		To    string `json:"to"`
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBody)).Decode(&req); err != nil {
-		rt.writeError(w, r, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !httpapi.DecodeBody(w, r, rt.cfg.MaxBody, &req) {
 		return
 	}
 	if req.Venue == "" || req.To == "" {
-		rt.writeError(w, r, http.StatusBadRequest, errors.New("venue and to are required"))
+		httpapi.WriteError(w, r, http.StatusBadRequest, errors.New("venue and to are required"))
 		return
 	}
 	report, err := rt.Migrate(r.Context(), req.Venue, strings.TrimSuffix(req.To, "/"))
 	if err != nil {
 		switch {
 		case errors.Is(err, c2mn.ErrMigrationConflict):
-			rt.writeError(w, r, http.StatusConflict, err)
+			httpapi.WriteError(w, r, http.StatusConflict, err)
 		case errors.Is(err, c2mn.ErrNoBackend):
-			rt.writeError(w, r, http.StatusServiceUnavailable, err)
+			httpapi.WriteError(w, r, http.StatusServiceUnavailable, err)
 		case errors.Is(err, c2mn.ErrUnknownVenue):
-			rt.writeError(w, r, http.StatusNotFound, err)
+			httpapi.WriteError(w, r, http.StatusNotFound, err)
 		default:
-			rt.writeError(w, r, http.StatusBadGateway, err)
+			httpapi.WriteError(w, r, http.StatusBadGateway, err)
 		}
 		return
 	}
-	writeJSON(w, http.StatusOK, report)
+	httpapi.WriteJSON(w, http.StatusOK, report)
 }

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"c2mn"
+	"c2mn/internal/httpapi"
 	"c2mn/internal/query"
 )
 
@@ -68,7 +69,7 @@ func newFakeBackend(t testing.TB) *fakeBackend {
 		for i, id := range ids {
 			rows[i] = map[string]any{"venue": id}
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"venues": rows})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"venues": rows})
 	})
 	mux.HandleFunc("POST /v1/query", f.handleQuery)
 	mux.HandleFunc("GET /v1/venues/{venue}/stats", func(w http.ResponseWriter, r *http.Request) {
@@ -77,7 +78,7 @@ func newFakeBackend(t testing.TB) *fakeBackend {
 			f.writeUnknownVenue(w, r.PathValue("venue"))
 			return
 		}
-		writeJSON(w, http.StatusOK, v.Stats)
+		httpapi.WriteJSON(w, http.StatusOK, v.Stats)
 	})
 	mux.HandleFunc("POST /v1/venues/{venue}/feed", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
@@ -90,8 +91,10 @@ func newFakeBackend(t testing.TB) *fakeBackend {
 		if id := r.Header.Get("X-Request-ID"); id != "" {
 			w.Header().Set("X-Request-ID", id)
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"venue": r.PathValue("venue"), "fed": 1})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"venue": r.PathValue("venue"), "fed": 1})
 	})
+	// The migration primitives live where the real msserve mounts them:
+	// under /v1/admin only.
 	drain := func(w http.ResponseWriter, r *http.Request) {
 		if !f.authorized(w, r) {
 			return
@@ -104,14 +107,10 @@ func newFakeBackend(t testing.TB) *fakeBackend {
 		f.drained[r.PathValue("venue")] = body.RedirectTo
 		f.mu.Unlock()
 		f.record(fmt.Sprintf("drain %s redirect=%q", r.PathValue("venue"), body.RedirectTo))
-		writeJSON(w, http.StatusOK, map[string]string{"status": "draining"})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]string{"status": "draining"})
 	}
-	// Mounted on both the pre-consolidation path (the migration
-	// coordinator's client uses it) and the /v1/admin twin, like the
-	// real msserve.
-	mux.HandleFunc("POST /v1/venues/{venue}/drain", drain)
 	mux.HandleFunc("POST /v1/admin/venues/{venue}/drain", drain)
-	mux.HandleFunc("DELETE /v1/venues/{venue}/drain", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("DELETE /v1/admin/venues/{venue}/drain", func(w http.ResponseWriter, r *http.Request) {
 		if !f.authorized(w, r) {
 			return
 		}
@@ -119,16 +118,16 @@ func newFakeBackend(t testing.TB) *fakeBackend {
 		delete(f.drained, r.PathValue("venue"))
 		f.mu.Unlock()
 		f.record("undrain " + r.PathValue("venue"))
-		writeJSON(w, http.StatusOK, map[string]string{"status": "serving"})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]string{"status": "serving"})
 	})
-	mux.HandleFunc("POST /v1/venues/{venue}/snapshot", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /v1/admin/venues/{venue}/snapshot", func(w http.ResponseWriter, r *http.Request) {
 		if !f.authorized(w, r) {
 			return
 		}
 		f.record("snapshot " + r.PathValue("venue"))
-		writeJSON(w, http.StatusOK, map[string]string{"venue": r.PathValue("venue")})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]string{"venue": r.PathValue("venue")})
 	})
-	mux.HandleFunc("GET /v1/venues/{venue}/snapshot/file", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /v1/admin/venues/{venue}/snapshot/file", func(w http.ResponseWriter, r *http.Request) {
 		if !f.authorized(w, r) {
 			return
 		}
@@ -141,7 +140,7 @@ func newFakeBackend(t testing.TB) *fakeBackend {
 		buf, _ := json.Marshal(v)
 		w.Write(buf)
 	})
-	mux.HandleFunc("PUT /v1/venues/{venue}/snapshot/file", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("PUT /v1/admin/venues/{venue}/snapshot/file", func(w http.ResponseWriter, r *http.Request) {
 		if !f.authorized(w, r) {
 			return
 		}
@@ -149,16 +148,16 @@ func newFakeBackend(t testing.TB) *fakeBackend {
 		buf, _ := io.ReadAll(r.Body)
 		var v fakeVenue
 		if err := json.Unmarshal(buf, &v); err != nil {
-			writeJSON(w, http.StatusUnprocessableEntity, map[string]wireError{"error": {Code: "snapshot_corrupt", Message: err.Error()}})
+			httpapi.WriteJSON(w, http.StatusUnprocessableEntity, map[string]httpapi.WireError{"error": {Code: "snapshot_corrupt", Message: err.Error()}})
 			return
 		}
 		f.mu.Lock()
 		f.venues[id] = &v
 		f.mu.Unlock()
 		f.record("restore " + id)
-		writeJSON(w, http.StatusOK, map[string]any{"venue": id, "status": "restored"})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"venue": id, "status": "restored"})
 	})
-	mux.HandleFunc("DELETE /v1/venues/{venue}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("DELETE /v1/admin/venues/{venue}", func(w http.ResponseWriter, r *http.Request) {
 		if !f.authorized(w, r) {
 			return
 		}
@@ -167,7 +166,7 @@ func newFakeBackend(t testing.TB) *fakeBackend {
 		delete(f.venues, id)
 		f.mu.Unlock()
 		f.record("unload " + id)
-		writeJSON(w, http.StatusOK, map[string]string{"venue": id, "status": "unloaded"})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]string{"venue": id, "status": "unloaded"})
 	})
 	mux.HandleFunc("POST /v1/admin/venues/{venue}/retrain", func(w http.ResponseWriter, r *http.Request) {
 		if !f.authorized(w, r) {
@@ -179,7 +178,7 @@ func newFakeBackend(t testing.TB) *fakeBackend {
 			return
 		}
 		f.record("retrain " + id)
-		writeJSON(w, http.StatusOK, map[string]any{
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{
 			"venue": id, "decision": map[string]any{"outcome": "swapped"},
 		})
 	})
@@ -196,7 +195,7 @@ func (f *fakeBackend) authorized(w http.ResponseWriter, r *http.Request) bool {
 		return true
 	}
 	if r.Header.Get("Authorization") != "Bearer "+token {
-		writeJSON(w, http.StatusUnauthorized, map[string]wireError{"error": {Code: "unauthorized", Message: "bad token"}})
+		httpapi.WriteJSON(w, http.StatusUnauthorized, map[string]httpapi.WireError{"error": {Code: "unauthorized", Message: "bad token"}})
 		return false
 	}
 	return true
@@ -222,7 +221,7 @@ func (f *fakeBackend) callLog() []string {
 }
 
 func (f *fakeBackend) writeUnknownVenue(w http.ResponseWriter, id string) {
-	writeJSON(w, http.StatusNotFound, map[string]wireError{"error": {
+	httpapi.WriteJSON(w, http.StatusNotFound, map[string]httpapi.WireError{"error": {
 		Code: "unknown_venue", Message: fmt.Sprintf("c2mn: unknown venue: %q", id),
 	}})
 }
@@ -240,18 +239,18 @@ func (f *fakeBackend) queryLog() []fakeQuery {
 // own top K, and the answer carries the composite generation ETag that
 // a matching If-None-Match turns into a 304.
 func (f *fakeBackend) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
+	var req httpapi.QueryRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]wireError{"error": {Code: "invalid_argument", Message: err.Error()}})
+		httpapi.WriteJSON(w, http.StatusBadRequest, map[string]httpapi.WireError{"error": {Code: "invalid_argument", Message: err.Error()}})
 		return
 	}
 	f.mu.Lock()
 	f.queries = append(f.queries, fakeQuery{Venues: req.Venues, IfNoneMatch: r.Header.Get("If-None-Match")})
 	f.mu.Unlock()
-	nq, err := normalizeQuery(req.Query)
+	nq, err := req.Query.Normalized()
 	if err != nil || nq.Scope == c2mn.ScopeFleet {
 		f.t.Errorf("fake backend got query %+v (%v); the router sends venue or venues scope", req.Query, err)
-		writeJSON(w, http.StatusBadRequest, map[string]wireError{"error": {Code: "invalid_query", Message: "bad query"}})
+		httpapi.WriteJSON(w, http.StatusBadRequest, map[string]httpapi.WireError{"error": {Code: "invalid_query", Message: "bad query"}})
 		return
 	}
 	req.Query = nq
@@ -294,7 +293,7 @@ func (f *fakeBackend) handleQuery(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	writeJSON(w, http.StatusOK, queryResponse{QueryResult: res})
+	httpapi.WriteJSON(w, http.StatusOK, httpapi.QueryResponse{QueryResult: res})
 }
 
 // testRouter builds a router over the fakes and runs one health sweep.
@@ -367,7 +366,7 @@ func TestRouterNeverRetriesBackpressure(t *testing.T) {
 	a.feedHook = func(w http.ResponseWriter, r *http.Request) bool {
 		hits++
 		w.Header().Set("Retry-After", "7")
-		writeJSON(w, http.StatusTooManyRequests, map[string]wireError{"error": {Code: "backlog", Message: "c2mn: annotation backlog"}})
+		httpapi.WriteJSON(w, http.StatusTooManyRequests, map[string]httpapi.WireError{"error": {Code: "backlog", Message: "c2mn: annotation backlog"}})
 		return true
 	}
 	rt := testRouter(t, Config{Retries: 3}, a)
@@ -410,7 +409,7 @@ func TestRouterDeadBackendYields502AndUnready(t *testing.T) {
 		t.Fatalf("status = %s, want 502", resp.Status)
 	}
 	var e struct {
-		Error wireError `json:"error"`
+		Error httpapi.WireError `json:"error"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 		t.Fatal(err)
@@ -435,7 +434,7 @@ func TestRouterDeadBackendYields502AndUnready(t *testing.T) {
 		t.Fatalf("post-markdown status = %s, want 503", resp2.Status)
 	}
 	var e2 struct {
-		Error wireError `json:"error"`
+		Error httpapi.WireError `json:"error"`
 	}
 	if err := json.NewDecoder(resp2.Body).Decode(&e2); err != nil {
 		t.Fatal(err)
@@ -531,12 +530,12 @@ func TestRouterScatterMatchesBruteForce(t *testing.T) {
 
 		k := 1 + rng.Intn(6)
 		for _, kind := range []c2mn.QueryKind{c2mn.QueryPopularRegions, c2mn.QueryFrequentPairs} {
-			buf, _ := json.Marshal(queryRequest{Query: c2mn.Query{Kind: kind, Scope: c2mn.ScopeFleet, K: k}})
+			buf, _ := json.Marshal(httpapi.QueryRequest{Query: c2mn.Query{Kind: kind, Scope: c2mn.ScopeFleet, K: k}})
 			resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(buf))
 			if err != nil {
 				t.Fatal(err)
 			}
-			var got queryResponse
+			var got httpapi.QueryResponse
 			if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 				t.Fatal(err)
 			}
@@ -567,14 +566,14 @@ func TestRouterScatterMatchesBruteForce(t *testing.T) {
 
 		// Venues scope over an explicit subset, in request order.
 		subset := venueIDs[:1+rng.Intn(nVenues)]
-		buf, _ := json.Marshal(queryRequest{Query: c2mn.Query{
+		buf, _ := json.Marshal(httpapi.QueryRequest{Query: c2mn.Query{
 			Kind: c2mn.QueryPopularRegions, Venues: subset, K: k, PerVenue: true,
 		}})
 		resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(buf))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got queryResponse
+		var got httpapi.QueryResponse
 		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 			t.Fatal(err)
 		}
@@ -601,14 +600,14 @@ func TestRouterScatterPagination(t *testing.T) {
 
 	// Full merged ranking: 1:9, 2:9, 4:2, 3:1 (count desc, ID asc).
 	var pages []c2mn.RegionCount
-	body := queryRequest{Query: c2mn.Query{Kind: c2mn.QueryPopularRegions, Scope: c2mn.ScopeFleet, K: 10}, PageSize: 3}
+	body := httpapi.QueryRequest{Query: c2mn.Query{Kind: c2mn.QueryPopularRegions, Scope: c2mn.ScopeFleet, K: 10}, PageSize: 3}
 	for page := 0; ; page++ {
 		buf, _ := json.Marshal(body)
 		resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(buf))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got queryResponse
+		var got httpapi.QueryResponse
 		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 			t.Fatal(err)
 		}
@@ -617,7 +616,7 @@ func TestRouterScatterPagination(t *testing.T) {
 		if got.NextCursor == "" {
 			break
 		}
-		body = queryRequest{Cursor: got.NextCursor}
+		body = httpapi.QueryRequest{Cursor: got.NextCursor}
 		if page > 3 {
 			t.Fatal("pagination never terminated")
 		}
@@ -701,11 +700,11 @@ func TestRouterMigrationRollsBackOnRestoreFailure(t *testing.T) {
 	dstMux := http.NewServeMux()
 	dstMux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(200) })
 	dstMux.HandleFunc("GET /v1/venues", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"venues": []any{}})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"venues": []any{}})
 	})
-	dstMux.HandleFunc("PUT /v1/venues/{venue}/snapshot/file", func(w http.ResponseWriter, r *http.Request) {
+	dstMux.HandleFunc("PUT /v1/admin/venues/{venue}/snapshot/file", func(w http.ResponseWriter, r *http.Request) {
 		io.Copy(io.Discard, r.Body)
-		writeJSON(w, http.StatusNotFound, map[string]wireError{"error": {Code: "unknown_venue", Message: "no such venue"}})
+		httpapi.WriteJSON(w, http.StatusNotFound, map[string]httpapi.WireError{"error": {Code: "unknown_venue", Message: "no such venue"}})
 	})
 	dst.srv.Close()
 	dst.srv = httptest.NewServer(dstMux)
@@ -755,7 +754,7 @@ func TestRouterAdminPlane(t *testing.T) {
 	ts := routerServer(t, rt)
 
 	// Tokenless admin calls bounce.
-	resp, err := http.Get(ts.URL + "/admin/backends")
+	resp, err := http.Get(ts.URL + "/v1/admin/backends")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -775,7 +774,7 @@ func TestRouterAdminPlane(t *testing.T) {
 		return resp
 	}
 
-	resp = authed(http.MethodGet, "/admin/backends", "")
+	resp = authed(http.MethodGet, "/v1/admin/backends", "")
 	var table struct {
 		Backends []backendInfo `json:"backends"`
 	}
@@ -790,7 +789,7 @@ func TestRouterAdminPlane(t *testing.T) {
 	// Add a second backend at runtime; it becomes routable immediately.
 	b := newFakeBackend(t)
 	b.venues["south"] = &fakeVenue{}
-	resp = authed(http.MethodPost, "/admin/backends", fmt.Sprintf(`{"url":%q}`, b.srv.URL))
+	resp = authed(http.MethodPost, "/v1/admin/backends", fmt.Sprintf(`{"url":%q}`, b.srv.URL))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("add backend status = %s", resp.Status)
@@ -805,7 +804,7 @@ func TestRouterAdminPlane(t *testing.T) {
 	}
 
 	// Assignments list both venues with their backends.
-	resp = authed(http.MethodGet, "/admin/assignments", "")
+	resp = authed(http.MethodGet, "/v1/admin/assignments", "")
 	var asg struct {
 		Assignments []assignment `json:"assignments"`
 	}
@@ -818,7 +817,7 @@ func TestRouterAdminPlane(t *testing.T) {
 	}
 
 	// Pins override the hash and are visible in assignments.
-	resp = authed(http.MethodPost, "/admin/pins", fmt.Sprintf(`{"venue":"north","backend":%q}`, b.srv.URL))
+	resp = authed(http.MethodPost, "/v1/admin/pins", fmt.Sprintf(`{"venue":"north","backend":%q}`, b.srv.URL))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pin status = %s", resp.Status)
@@ -830,14 +829,14 @@ func TestRouterAdminPlane(t *testing.T) {
 	if owner != b.srv.URL {
 		t.Fatalf("pinned owner = %q, want %q", owner, b.srv.URL)
 	}
-	resp = authed(http.MethodDelete, "/admin/pins?venue=north", "")
+	resp = authed(http.MethodDelete, "/v1/admin/pins?venue=north", "")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("unpin status = %s", resp.Status)
 	}
 
 	// Removing a backend takes it out of routing.
-	resp = authed(http.MethodDelete, "/admin/backends?url="+b.srv.URL, "")
+	resp = authed(http.MethodDelete, "/v1/admin/backends?url="+b.srv.URL, "")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("remove backend status = %s", resp.Status)
@@ -873,8 +872,8 @@ func TestRouterReadyzReflectsBackends(t *testing.T) {
 
 func TestRouterStatsAggregation(t *testing.T) {
 	a, b := newFakeBackend(t), newFakeBackend(t)
-	a.venues["v0"] = &fakeVenue{Stats: c2mn.EngineStats{FedRecords: 10, StoredSequences: 2}}
-	b.venues["v1"] = &fakeVenue{Stats: c2mn.EngineStats{FedRecords: 5, StoredSequences: 1}}
+	a.venues["v0"] = &fakeVenue{Stats: c2mn.EngineStats{FedRecords: 10, StoredSequences: 2, EmittedSequences: 6, FeedBatches: 3}}
+	b.venues["v1"] = &fakeVenue{Stats: c2mn.EngineStats{FedRecords: 5, StoredSequences: 1, EmittedSequences: 2, FeedBatches: 1}}
 	rt := testRouter(t, Config{}, a, b)
 	ts := routerServer(t, rt)
 
@@ -893,7 +892,10 @@ func TestRouterStatsAggregation(t *testing.T) {
 	if len(stats.Venues) != 2 {
 		t.Fatalf("stats venues = %v", stats.Venues)
 	}
-	if stats.Totals.FedRecords != 15 || stats.Totals.StoredSequences != 3 {
-		t.Fatalf("totals = %+v", stats.Totals)
+	// FeedBatches included: it divides EmittedSequences into the mean
+	// coalesced batch size.
+	want := c2mn.EngineStats{FedRecords: 15, StoredSequences: 3, EmittedSequences: 8, FeedBatches: 4}
+	if stats.Totals != want {
+		t.Fatalf("totals = %+v, want %+v", stats.Totals, want)
 	}
 }

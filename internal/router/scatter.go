@@ -2,21 +2,17 @@ package router
 
 import (
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"math"
 	"net/http"
-	"reflect"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
 	"c2mn"
+	"c2mn/internal/httpapi"
 	"c2mn/internal/query"
 )
 
@@ -77,158 +73,28 @@ type scatterPartial struct {
 // scatterCacheEntries bounds the router's partial cache.
 const scatterCacheEntries = 1024
 
-// queryRequest mirrors msserve's POST /v1/query body: the library
-// Query plus cursor pagination.
-type queryRequest struct {
-	c2mn.Query
-	PageSize int    `json:"page_size,omitempty"`
-	Cursor   string `json:"cursor,omitempty"`
-}
-
-type queryResponse struct {
-	c2mn.QueryResult
-	Offset     int    `json:"offset,omitempty"`
-	NextCursor string `json:"next_cursor,omitempty"`
-}
-
-// queryCursor is the same stateless cursor msserve encodes, so a
-// cursor minted by either tier resumes through the other.
-type queryCursor struct {
-	Query    c2mn.Query `json:"q"`
-	PageSize int        `json:"page_size"`
-	Offset   int        `json:"offset"`
-}
-
-func encodeCursor(c queryCursor) (string, error) {
-	buf, err := json.Marshal(c)
-	if err != nil {
-		return "", err
-	}
-	return base64.RawURLEncoding.EncodeToString(buf), nil
-}
-
-func decodeCursor(s string) (queryCursor, error) {
-	var c queryCursor
-	buf, err := base64.RawURLEncoding.DecodeString(s)
-	if err != nil {
-		return c, fmt.Errorf("bad cursor: %w", err)
-	}
-	if err := json.Unmarshal(buf, &c); err != nil {
-		return c, fmt.Errorf("bad cursor: %w", err)
-	}
-	if c.PageSize <= 0 || c.Offset < 0 {
-		return c, errors.New("bad cursor: invalid page bounds")
-	}
-	return c, nil
-}
-
-// normalizeQuery validates q and fills defaults exactly as the
-// library's Query.normalized does, so the router routes on the same
-// effective scope/venues/k the backends would compute. All failures
-// wrap c2mn.ErrInvalidQuery.
-func normalizeQuery(q c2mn.Query) (c2mn.Query, error) {
-	invalid := func(detail string) error {
-		return fmt.Errorf("%w: %s", c2mn.ErrInvalidQuery, detail)
-	}
-	switch q.Kind {
-	case c2mn.QueryPopularRegions, c2mn.QueryFrequentPairs:
-	default:
-		return q, invalid(fmt.Sprintf("kind %q (want %q or %q)", q.Kind, c2mn.QueryPopularRegions, c2mn.QueryFrequentPairs))
-	}
-	if q.Scope == "" {
-		switch len(q.Venues) {
-		case 0:
-			q.Scope = c2mn.ScopeFleet
-		case 1:
-			q.Scope = c2mn.ScopeVenue
-		default:
-			q.Scope = c2mn.ScopeVenues
-		}
-	}
-	switch q.Scope {
-	case c2mn.ScopeFleet:
-		if len(q.Venues) != 0 {
-			return q, invalid(`scope "fleet" does not take a venue list`)
-		}
-	case c2mn.ScopeVenue:
-		if len(q.Venues) != 1 {
-			return q, invalid(fmt.Sprintf(`scope "venue" wants exactly one venue, got %d`, len(q.Venues)))
-		}
-	case c2mn.ScopeVenues:
-		if len(q.Venues) == 0 {
-			return q, invalid(`scope "venues" wants at least one venue`)
-		}
-	default:
-		return q, invalid(fmt.Sprintf("scope %q", q.Scope))
-	}
-	if len(q.Venues) > 0 {
-		dedup := make([]string, 0, len(q.Venues))
-		seen := make(map[string]bool, len(q.Venues))
-		for _, id := range q.Venues {
-			if id == "" {
-				return q, invalid("empty venue ID")
-			}
-			if !seen[id] {
-				seen[id] = true
-				dedup = append(dedup, id)
-			}
-		}
-		q.Venues = dedup
-	}
-	if q.K < 0 {
-		return q, invalid(fmt.Sprintf("negative k %d", q.K))
-	}
-	if q.K == 0 {
-		q.K = c2mn.DefaultQueryK
-	}
-	if q.Window != nil {
-		if math.IsNaN(q.Window.Start) || math.IsNaN(q.Window.End) {
-			return q, invalid("NaN window bound")
-		}
-		w := *q.Window
-		q.Window = &w
-	}
-	return q, nil
-}
-
 // handleQuery serves the router's POST /v1/query: single-backend
 // scopes forward raw, wider scopes scatter-gather with the router
 // running the same cursor pagination msserve does.
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBody))
+	body, ok := httpapi.ReadBody(w, r, rt.cfg.MaxBody, "request body")
+	if !ok {
+		return
+	}
+	var req httpapi.QueryRequest
+	if !httpapi.DecodeBytes(w, r, body, &req) {
+		return
+	}
+	q, pageSize, offset, err := req.Resolve()
 	if err != nil {
-		rt.writeBodyError(w, r, err)
+		httpapi.WriteError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	var req queryRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		rt.writeError(w, r, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	if req.PageSize < 0 {
-		rt.writeError(w, r, http.StatusBadRequest, fmt.Errorf("negative page_size %d", req.PageSize))
-		return
-	}
-	q, pageSize, offset := req.Query, req.PageSize, 0
-	if req.Cursor != "" {
-		if !reflect.DeepEqual(req.Query, c2mn.Query{}) {
-			rt.writeError(w, r, http.StatusBadRequest, errors.New("cursor and query fields are mutually exclusive"))
-			return
-		}
-		cur, err := decodeCursor(req.Cursor)
-		if err != nil {
-			rt.writeError(w, r, http.StatusBadRequest, err)
-			return
-		}
-		q, offset = cur.Query, cur.Offset
-		pageSize = cur.PageSize
-		if req.PageSize > 0 {
-			pageSize = req.PageSize
-		}
-	}
-	nq, err := normalizeQuery(q)
+	// Normalized, so the router routes on the same effective
+	// scope/venues/k the backends would compute.
+	nq, err := q.Normalized()
 	if err != nil {
-		rt.writeError(w, r, http.StatusBadRequest, err)
+		httpapi.WriteError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	if nq.Scope != c2mn.ScopeFleet {
@@ -242,19 +108,12 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		rt.writeScatterError(w, r, err)
 		return
 	}
-	resp := queryResponse{QueryResult: res}
-	if pageSize > 0 {
-		resp.Offset = offset
-		if next := paginate(&resp.QueryResult, offset, pageSize); next >= 0 {
-			cursor, err := encodeCursor(queryCursor{Query: q, PageSize: pageSize, Offset: next})
-			if err != nil {
-				rt.writeError(w, r, http.StatusInternalServerError, err)
-				return
-			}
-			resp.NextCursor = cursor
-		}
+	resp, err := httpapi.Page(res, q, pageSize, offset)
+	if err != nil {
+		httpapi.WriteError(w, r, http.StatusInternalServerError, err)
+		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 // singleOwner reports whether every venue in the list resolves to one
@@ -276,45 +135,20 @@ func (rt *Router) singleOwner(venues []string) (string, bool) {
 	return backend, backend != ""
 }
 
-// writeScatterError maps scatter failures onto statuses, mirroring
-// msserve's writeQueryError.
+// writeScatterError maps scatter failures onto statuses.
 func (rt *Router) writeScatterError(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
 	case errors.Is(err, c2mn.ErrInvalidQuery):
-		rt.writeError(w, r, http.StatusBadRequest, err)
+		httpapi.WriteError(w, r, http.StatusBadRequest, err)
 	case errors.Is(err, c2mn.ErrUnknownVenue):
-		rt.writeError(w, r, http.StatusNotFound, err)
+		httpapi.WriteError(w, r, http.StatusNotFound, err)
 	case errors.Is(err, c2mn.ErrNoBackend):
-		rt.writeError(w, r, http.StatusServiceUnavailable, err)
+		httpapi.WriteError(w, r, http.StatusServiceUnavailable, err)
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		rt.writeError(w, r, http.StatusServiceUnavailable, err)
+		httpapi.WriteError(w, r, http.StatusServiceUnavailable, err)
 	default:
-		rt.writeError(w, r, http.StatusBadGateway, err)
+		httpapi.WriteError(w, r, http.StatusBadGateway, err)
 	}
-}
-
-// paginate is msserve's pagination verbatim: slice the ranked list to
-// [offset, offset+size) without ever computing the raw sum (a forged
-// cursor can put offset near MaxInt), returning the next offset or -1.
-func paginate(res *c2mn.QueryResult, offset, size int) int {
-	if res.Kind == c2mn.QueryFrequentPairs {
-		n := len(res.Pairs)
-		lo := min(offset, n)
-		hi := lo + min(size, n-lo)
-		res.Pairs = res.Pairs[lo:hi]
-		if hi < n {
-			return hi
-		}
-		return -1
-	}
-	n := len(res.Regions)
-	lo := min(offset, n)
-	hi := lo + min(size, n-lo)
-	res.Regions = res.Regions[lo:hi]
-	if hi < n {
-		return hi
-	}
-	return -1
 }
 
 // subAnswer is one fetched sub-query answer and the venues it covers.
@@ -467,7 +301,7 @@ func (rt *Router) fetchPartial(ctx context.Context, backend string, venues []str
 	if len(venues) > 1 {
 		sub.Scope, sub.PerVenue = c2mn.ScopeVenues, nq.PerVenue
 	}
-	body, err := json.Marshal(queryRequest{Query: sub})
+	body, err := json.Marshal(httpapi.QueryRequest{Query: sub})
 	if err != nil {
 		return scatterCounts{}, err
 	}
@@ -529,13 +363,13 @@ func (rt *Router) handleTopKSugar(w http.ResponseWriter, r *http.Request) {
 	case vals.Get("scope") == "fleet":
 		scope = c2mn.ScopeFleet
 	case vals.Get("scope") != "":
-		rt.writeError(w, r, http.StatusBadRequest,
+		httpapi.WriteError(w, r, http.StatusBadRequest,
 			fmt.Errorf("bad scope %q (only \"fleet\" may be given without venues)", vals.Get("scope")))
 		return
 	default:
 		known := rt.knownVenues()
 		if len(known) != 1 {
-			rt.writeError(w, r, http.StatusBadRequest,
+			httpapi.WriteError(w, r, http.StatusBadRequest,
 				fmt.Errorf("%d venue(s) in the fleet: pass ?venue=, ?venues=a,b or ?scope=fleet", len(known)))
 			return
 		}
@@ -547,14 +381,14 @@ func (rt *Router) handleTopKSugar(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	regions, win, k, err := sugarParams(r)
+	regions, win, k, err := httpapi.SugarParams(r)
 	if err != nil {
-		rt.writeError(w, r, http.StatusBadRequest, err)
+		httpapi.WriteError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	nq, err := normalizeQuery(c2mn.Query{Kind: kind, Scope: scope, Venues: venues, Regions: regions, Window: win, K: k})
+	nq, err := c2mn.Query{Kind: kind, Scope: scope, Venues: venues, Regions: regions, Window: win, K: k}.Normalized()
 	if err != nil {
-		rt.writeError(w, r, http.StatusBadRequest, err)
+		httpapi.WriteError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	res, err := rt.scatter(r.Context(), nq)
@@ -574,7 +408,7 @@ func (rt *Router) handleTopKSugar(w http.ResponseWriter, r *http.Request) {
 		for i, pc := range res.Pairs {
 			out[i] = pairRow{A: int(pc.A), B: int(pc.B), Count: pc.Count}
 		}
-		writeJSON(w, http.StatusOK, out)
+		httpapi.WriteJSON(w, http.StatusOK, out)
 		return
 	}
 	type regionRow struct {
@@ -585,50 +419,7 @@ func (rt *Router) handleTopKSugar(w http.ResponseWriter, r *http.Request) {
 	for i, rc := range res.Regions {
 		out[i] = regionRow{Region: int(rc.Region), Count: rc.Count}
 	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// sugarParams parses the query sugars' k/start/end/regions exactly as
-// msserve does, so a scattered sugar rejects what a backend would.
-func sugarParams(r *http.Request) ([]c2mn.RegionID, *c2mn.Window, int, error) {
-	vals := r.URL.Query()
-	k := 0
-	if v := vals.Get("k"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			return nil, nil, 0, fmt.Errorf("bad k %q", v)
-		}
-		k = n
-	}
-	var win *c2mn.Window
-	if vals.Get("start") != "" || vals.Get("end") != "" {
-		win = &c2mn.Window{Start: -math.MaxFloat64, End: math.MaxFloat64}
-		if v := vals.Get("start"); v != "" {
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || math.IsNaN(f) {
-				return nil, nil, 0, fmt.Errorf("bad start %q", v)
-			}
-			win.Start = f
-		}
-		if v := vals.Get("end"); v != "" {
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || math.IsNaN(f) {
-				return nil, nil, 0, fmt.Errorf("bad end %q", v)
-			}
-			win.End = f
-		}
-	}
-	var q []c2mn.RegionID
-	if v := vals.Get("regions"); v != "" {
-		for _, part := range strings.Split(v, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil {
-				return nil, nil, 0, fmt.Errorf("bad region %q", part)
-			}
-			q = append(q, c2mn.RegionID(n))
-		}
-	}
-	return q, win, k, nil
+	httpapi.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleStats aggregates GET /v1/stats across the fleet: each known
@@ -677,19 +468,10 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		resp.Venues[venues[i]] = res.stats
-		resp.Totals.FedRecords += res.stats.FedRecords
-		resp.Totals.PendingObjects += res.stats.PendingObjects
-		resp.Totals.PendingRecords += res.stats.PendingRecords
-		resp.Totals.EmittedSequences += res.stats.EmittedSequences
-		resp.Totals.StoredSequences += res.stats.StoredSequences
-		resp.Totals.StoredSemantics += res.stats.StoredSemantics
-		resp.Totals.QueryCacheHits += res.stats.QueryCacheHits
-		resp.Totals.QueryCacheMisses += res.stats.QueryCacheMisses
-		resp.Totals.QueryCacheRevalidations += res.stats.QueryCacheRevalidations
-		resp.Totals.StoreNotifications += res.stats.StoreNotifications
+		resp.Totals.Add(res.stats)
 	}
-	noStore(w)
-	writeJSON(w, http.StatusOK, resp)
+	httpapi.NoStore(w)
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleListVenues merges GET /v1/venues across the ready backends.
@@ -743,8 +525,8 @@ func (rt *Router) handleListVenues(w http.ResponseWriter, r *http.Request) {
 	for i, rw := range merged {
 		out[i] = rw.raw
 	}
-	noStore(w)
-	writeJSON(w, http.StatusOK, map[string]any{"venues": out})
+	httpapi.NoStore(w)
+	httpapi.WriteJSON(w, http.StatusOK, map[string]any{"venues": out})
 }
 
 // handleFlush fans POST /v1/flush out venue-by-venue to each owner —
@@ -792,8 +574,8 @@ func (rt *Router) handleFlush(w http.ResponseWriter, r *http.Request) {
 		total.EmittedSequences += results[i].EmittedSequences
 	}
 	if len(failed) > 0 {
-		rt.writeError(w, r, http.StatusBadGateway, errors.Join(failed...))
+		httpapi.WriteError(w, r, http.StatusBadGateway, errors.Join(failed...))
 		return
 	}
-	writeJSON(w, http.StatusOK, total)
+	httpapi.WriteJSON(w, http.StatusOK, total)
 }

@@ -13,13 +13,14 @@ import (
 	"testing"
 
 	"c2mn"
+	"c2mn/internal/httpapi"
 	"c2mn/internal/query"
 )
 
 // postQuery sends one POST /v1/query through the router.
-func postQuery(t *testing.T, base string, q c2mn.Query) (int, queryResponse, string) {
+func postQuery(t *testing.T, base string, q c2mn.Query) (int, httpapi.QueryResponse, string) {
 	t.Helper()
-	buf, _ := json.Marshal(queryRequest{Query: q})
+	buf, _ := json.Marshal(httpapi.QueryRequest{Query: q})
 	resp, err := http.Post(base+"/v1/query", "application/json", bytes.NewReader(buf))
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +30,7 @@ func postQuery(t *testing.T, base string, q c2mn.Query) (int, queryResponse, str
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got queryResponse
+	var got httpapi.QueryResponse
 	if resp.StatusCode == http.StatusOK {
 		if err := json.Unmarshal(raw, &got); err != nil {
 			t.Fatalf("decoding %s: %v", raw, err)
@@ -298,7 +299,7 @@ func BenchmarkScatterFleet(b *testing.B) {
 		venues = append(venues, v)
 	}
 	rt := testRouter(b, Config{}, backends...)
-	body, _ := json.Marshal(queryRequest{Query: c2mn.Query{Kind: c2mn.QueryFrequentPairs, Scope: c2mn.ScopeFleet, K: 10}})
+	body, _ := json.Marshal(httpapi.QueryRequest{Query: c2mn.Query{Kind: c2mn.QueryFrequentPairs, Scope: c2mn.ScopeFleet, K: 10}})
 	ask := func() {
 		rec := httptest.NewRecorder()
 		rt.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body)))

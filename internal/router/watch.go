@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"c2mn"
+	"c2mn/internal/httpapi"
 	"c2mn/internal/notify"
 	"c2mn/internal/query"
 )
@@ -59,7 +60,7 @@ func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) {
 	case string(c2mn.QueryFrequentPairs):
 		kind = c2mn.QueryFrequentPairs
 	default:
-		rt.writeError(w, r, http.StatusBadRequest,
+		httpapi.WriteError(w, r, http.StatusBadRequest,
 			fmt.Errorf("bad kind %q (want %q or %q)", v, c2mn.QueryPopularRegions, c2mn.QueryFrequentPairs))
 		return
 	}
@@ -75,26 +76,26 @@ func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) {
 	case vals.Get("scope") == "fleet":
 		scope = c2mn.ScopeFleet
 	case vals.Get("scope") != "":
-		rt.writeError(w, r, http.StatusBadRequest,
+		httpapi.WriteError(w, r, http.StatusBadRequest,
 			fmt.Errorf("bad scope %q (only \"fleet\" may be given without venues)", vals.Get("scope")))
 		return
 	default:
 		known := rt.knownVenues()
 		if len(known) != 1 {
-			rt.writeError(w, r, http.StatusBadRequest,
+			httpapi.WriteError(w, r, http.StatusBadRequest,
 				fmt.Errorf("%d venue(s) in the fleet: pass ?venue=, ?venues=a,b or ?scope=fleet", len(known)))
 			return
 		}
 		scope, venues = c2mn.ScopeVenue, []string{known[0]}
 	}
-	regions, win, k, err := sugarParams(r)
+	regions, win, k, err := httpapi.SugarParams(r)
 	if err != nil {
-		rt.writeError(w, r, http.StatusBadRequest, err)
+		httpapi.WriteError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	nq, err := normalizeQuery(c2mn.Query{Kind: kind, Scope: scope, Venues: venues, Regions: regions, Window: win, K: k})
+	nq, err := c2mn.Query{Kind: kind, Scope: scope, Venues: venues, Regions: regions, Window: win, K: k}.Normalized()
 	if err != nil {
-		rt.writeError(w, r, http.StatusBadRequest, err)
+		httpapi.WriteError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	// The watched venue set is resolved once, at connect: membership is
@@ -106,7 +107,7 @@ func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) {
 		watched = rt.knownVenues()
 	}
 	if len(watched) == 0 {
-		rt.writeError(w, r, http.StatusServiceUnavailable,
+		httpapi.WriteError(w, r, http.StatusServiceUnavailable,
 			fmt.Errorf("%w: no venues known to the fleet", c2mn.ErrNoBackend))
 		return
 	}
@@ -114,7 +115,7 @@ func (rt *Router) handleWatch(w http.ResponseWriter, r *http.Request) {
 	hb := rt.cfg.WatchHeartbeat
 	sw, err := notify.NewSSEWriter(w, 3*hb)
 	if err != nil {
-		rt.writeError(w, r, http.StatusInternalServerError, err)
+		httpapi.WriteError(w, r, http.StatusInternalServerError, err)
 		return
 	}
 

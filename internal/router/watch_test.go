@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"c2mn"
+	"c2mn/internal/httpapi"
 	"c2mn/internal/notify"
 )
 
@@ -59,7 +60,7 @@ func newSSEFake(t *testing.T) *sseFake {
 			rows = append(rows, map[string]any{"venue": id})
 		}
 		f.mu.Unlock()
-		writeJSON(w, http.StatusOK, map[string]any{"venues": rows})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{"venues": rows})
 	})
 	mux.HandleFunc("GET /v1/venues/{venue}/watch", f.handleWatch)
 	f.srv = httptest.NewServer(mux)
@@ -100,7 +101,7 @@ func (f *sseFake) handleWatch(w http.ResponseWriter, r *http.Request) {
 	defer sub.Close()
 	gen, regions, ok := f.state(venue)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]wireError{"error": {
+		httpapi.WriteJSON(w, http.StatusNotFound, map[string]httpapi.WireError{"error": {
 			Code: "unknown_venue", Message: "unknown venue " + venue,
 		}})
 		return
@@ -369,7 +370,7 @@ func TestRouterWatchSurvivesMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/admin/pins", "application/json", strings.NewReader(string(pin)))
+	resp, err := http.Post(ts.URL+"/v1/admin/pins", "application/json", strings.NewReader(string(pin)))
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("pin: %v %v", resp.Status, err)
 	}
@@ -574,7 +575,7 @@ func pinVenue(t *testing.T, routerURL, venue, backend string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(routerURL+"/admin/pins", "application/json", strings.NewReader(string(body)))
+	resp, err := http.Post(routerURL+"/v1/admin/pins", "application/json", strings.NewReader(string(body)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -642,7 +643,7 @@ func TestRouterIntrospectionNoStore(t *testing.T) {
 	a.venues["v"] = &fakeVenue{Regions: []c2mn.RegionCount{{Region: 1, Count: 2}}}
 	rt := testRouter(t, Config{}, a)
 	ts := routerServer(t, rt)
-	for _, path := range []string{"/v1/stats", "/v1/venues", "/healthz", "/readyz", "/admin/backends", "/admin/assignments"} {
+	for _, path := range []string{"/v1/stats", "/v1/venues", "/healthz", "/readyz", "/v1/admin/backends", "/v1/admin/assignments"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)

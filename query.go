@@ -73,9 +73,11 @@ type Query struct {
 	PerVenue bool `json:"per_venue,omitempty"`
 }
 
-// normalized validates q and fills the documented defaults, returning
-// the execution-ready copy. All failures wrap ErrInvalidQuery.
-func (q Query) normalized() (Query, error) {
+// Normalized validates q and fills the documented defaults, returning
+// the execution-ready copy: the effective scope, venue list and k that
+// VenueRegistry.Query runs — and that a routing tier must route on to
+// agree with its backends. All failures wrap ErrInvalidQuery.
+func (q Query) Normalized() (Query, error) {
 	switch q.Kind {
 	case QueryPopularRegions, QueryFrequentPairs:
 	default:
@@ -193,11 +195,9 @@ type QueryResult struct {
 // scope snapshots the loaded venue set at entry and silently skips
 // venues unloaded mid-scan; Scanned reports what was actually merged.
 // Malformed queries fail with ErrInvalidQuery, and ctx cancellation
-// with ErrCanceled. Single-venue scans never wait for budget slots
-// (matching the TopK* compatibility wrappers, which route through
-// here).
+// with ErrCanceled. Single-venue scans never wait for budget slots.
 func (vr *VenueRegistry) Query(ctx context.Context, q Query) (QueryResult, error) {
-	nq, err := q.normalized()
+	nq, err := q.Normalized()
 	if err != nil {
 		return QueryResult{}, err
 	}

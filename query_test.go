@@ -155,19 +155,19 @@ func TestRegistryFleetQueryMatchesBruteForce(t *testing.T) {
 	}
 
 	// Single-venue scope through the unified path agrees with the
-	// compatibility wrappers.
+	// venue engine's own top-k.
 	one, err := vr.Query(ctx, Query{Kind: QueryPopularRegions, Venues: []string{"north"}, K: k})
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := vr.TopKPopularRegions("north", regions, all, k)
+	north, err := vr.Engine("north")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The unified path defaults empty Regions to the venue's region
 	// set, which here is exactly `regions`.
-	if one.Scope != ScopeVenue || !reflect.DeepEqual(one.Regions, legacy) {
-		t.Fatalf("venue-scope Query %v diverges from TopKPopularRegions %v", one.Regions, legacy)
+	if direct := north.TopKPopularRegions(regions, all, k); one.Scope != ScopeVenue || !reflect.DeepEqual(one.Regions, direct) {
+		t.Fatalf("venue-scope Query %v diverges from Engine.TopKPopularRegions %v", one.Regions, direct)
 	}
 }
 

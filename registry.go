@@ -260,35 +260,6 @@ func (vr *VenueRegistry) FlushAll() error {
 	return errors.Join(errs...)
 }
 
-// TopKPopularRegions answers a TkPRQ over one venue's live store. It
-// is a compatibility wrapper over Query with venue scope; note that
-// under the unified semantics an empty q means every region of the
-// venue and k <= 0 means DefaultQueryK.
-func (vr *VenueRegistry) TopKPopularRegions(venueID string, q []RegionID, w Window, k int) ([]RegionCount, error) {
-	res, err := vr.Query(context.Background(), Query{
-		Kind: QueryPopularRegions, Scope: ScopeVenue, Venues: []string{venueID},
-		Regions: q, Window: &w, K: k,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Regions, nil
-}
-
-// TopKFrequentPairs answers a TkFRPQ over one venue's live store. It
-// is a compatibility wrapper over Query with venue scope; the empty-q
-// and k defaults of TopKPopularRegions apply here too.
-func (vr *VenueRegistry) TopKFrequentPairs(venueID string, q []RegionID, w Window, k int) ([]PairCount, error) {
-	res, err := vr.Query(context.Background(), Query{
-		Kind: QueryFrequentPairs, Scope: ScopeVenue, Venues: []string{venueID},
-		Regions: q, Window: &w, K: k,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Pairs, nil
-}
-
 // snapshotExt is the on-disk suffix of per-venue snapshot files.
 const snapshotExt = ".c2mnsnap"
 

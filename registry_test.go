@@ -61,7 +61,9 @@ func TestVenueRegistryRoutingAndIsolation(t *testing.T) {
 	// Per-venue queries match the per-venue engines directly.
 	w := Window{Start: 0, End: 1e9}
 	q := a.Space().Regions()
-	topN, err := vr.TopKPopularRegions("north", q, w, 5)
+	topN, err := vr.Query(context.Background(), Query{
+		Kind: QueryPopularRegions, Venues: []string{"north"}, Regions: q, Window: &w, K: 5,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +71,7 @@ func TestVenueRegistryRoutingAndIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(topN, ne.TopKPopularRegions(q, w, 5)) {
+	if !reflect.DeepEqual(topN.Regions, ne.TopKPopularRegions(q, w, 5)) {
 		t.Fatal("routed query disagrees with the venue engine")
 	}
 
@@ -97,7 +99,7 @@ func TestVenueRegistryUnknownVenue(t *testing.T) {
 	if _, _, err := vr.AnnotateCtx(context.Background(), "nope", &test[0].P); !errors.Is(err, ErrUnknownVenue) {
 		t.Fatalf("AnnotateCtx unknown venue: err = %v", err)
 	}
-	if _, err := vr.TopKPopularRegions("nope", nil, Window{}, 1); !errors.Is(err, ErrUnknownVenue) {
+	if _, err := vr.Query(context.Background(), Query{Kind: QueryPopularRegions, Venues: []string{"nope"}}); !errors.Is(err, ErrUnknownVenue) {
 		t.Fatalf("query unknown venue: err = %v", err)
 	}
 	if err := vr.Unload("nope"); !errors.Is(err, ErrUnknownVenue) {

@@ -2,6 +2,7 @@ package c2mn
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
@@ -44,19 +45,20 @@ func feedVenueTails(t *testing.T, vr *VenueRegistry, venue string, test []Labele
 // queryJSON renders a venue's top-k answers for byte comparison.
 func queryJSON(t *testing.T, vr *VenueRegistry, venue string, q []RegionID) []byte {
 	t.Helper()
-	w := Window{Start: 0, End: 1e18}
-	top, err := vr.TopKPopularRegions(venue, q, w, 10)
+	query := Query{Kind: QueryPopularRegions, Venues: []string{venue}, Regions: q, Window: &Window{Start: 0, End: 1e18}, K: 10}
+	top, err := vr.Query(context.Background(), query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, err := vr.TopKFrequentPairs(venue, q, w, 10)
+	query.Kind = QueryFrequentPairs
+	pairs, err := vr.Query(context.Background(), query)
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf, err := json.Marshal(struct {
 		Regions []RegionCount
 		Pairs   []PairCount
-	}{top, pairs})
+	}{top.Regions, pairs.Pairs})
 	if err != nil {
 		t.Fatal(err)
 	}
