@@ -713,6 +713,55 @@ func BenchmarkTopKPopularRegions(b *testing.B) {
 	}
 }
 
+// BenchmarkTopKFrequentPairs measures the pair query's miss path in the
+// shape the registry asks for it: every region of a venue as large as
+// the simulated mall (202 regions), a window over the later half of the
+// retained horizon, and query.AllCounts — the untruncated list a
+// cross-venue merge needs, so the whole ranking is paid for, not a
+// top-10. The cost follows the (sequence, pair) incidences inside the
+// window, so unlike BenchmarkTopKPopularRegions it grows with the
+// store; `pairs` reports the length of the answer.
+func BenchmarkTopKFrequentPairs(b *testing.B) {
+	const regions = 202
+	queryRegions := make([]RegionID, regions)
+	for i := range queryRegions {
+		queryRegions[i] = RegionID(i)
+	}
+	for _, n := range []int{1000, 4000, 16000} {
+		b.Run(fmt.Sprintf("stored=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(13))
+			st := query.NewStore(0)
+			t := 0.0
+			for i := 0; i < n; i++ {
+				ms := MSSequence{ObjectID: fmt.Sprintf("o%d", i)}
+				at := t
+				for j, stays := 0, 4+rng.Intn(8); j < stays; j++ {
+					d := 30 + rng.Float64()*120
+					ms.Semantics = append(ms.Semantics, MSemantics{
+						Region: RegionID(rng.Intn(regions)),
+						Start:  at,
+						End:    at + d,
+						Event:  Stay,
+					})
+					at += d
+				}
+				st.Add(ms)
+				t += 40 // visitors arrive steadily and overlap
+			}
+			w := Window{Start: t / 2, End: t}
+			pairs := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if pairs = len(st.TopKFrequentPairs(queryRegions, w, query.AllCounts)); pairs == 0 {
+					b.Fatal("no pairs over a populated window")
+				}
+			}
+			b.ReportMetric(float64(pairs), "pairs")
+		})
+	}
+}
+
 // BenchmarkQueryCached measures the engine's generation-keyed result
 // cache on its hot path: the same top-k query re-asked while the store
 // generation holds still. A warm-up query populates the per-venue LRU,

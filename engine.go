@@ -394,11 +394,12 @@ func (e *Engine) process(p *PSequence) error {
 // queryCounts is the single per-shard query executor: every query
 // entry point — the engine's TopK* compatibility wrappers and the
 // per-venue fan-out behind VenueRegistry.Query — funnels through it.
-// Callers resolve the unified defaults first (queryDefaults here, the
-// normalized Query on the registry path), so venue-scoped and
-// fleet-scoped answers cannot diverge. It answers one kind over the
-// live store with counts truncated at k; pass query.AllCounts for the
-// untruncated lists a cross-venue merge needs.
+// Callers resolve the k default first (defaultK here, the normalized
+// Query on the registry path); the every-region default — an empty
+// regions — is resolved here, so venue-scoped and fleet-scoped answers
+// cannot diverge. It answers one kind over the live store with counts
+// truncated at k; pass query.AllCounts for the untruncated lists a
+// cross-venue merge needs.
 //
 // Results are memoized in a bounded LRU keyed by the canonical query
 // encoding, validated by the store generation captured atomically with
@@ -429,6 +430,9 @@ func (e *Engine) queryCounts(kind QueryKind, regions []RegionID, w Window, k int
 	}
 	e.qcacheMu.Unlock()
 	e.cacheMisses.Add(1)
+	if len(regions) == 0 {
+		regions = e.Space().Regions()
+	}
 	var ans cachedAnswer
 	switch kind {
 	case QueryFrequentPairs:
@@ -446,10 +450,12 @@ func (e *Engine) queryCounts(kind QueryKind, regions []RegionID, w Window, k int
 // sorted and deduplicated first — the top-k queries treat regions as a
 // set, so permuted or repeated region lists must share a cache slot —
 // and the window bounds are encoded as raw float bits so distinct
-// windows can never collide.
+// windows can never collide. The every-region default (empty regions)
+// is encoded as a marker no region list can produce, not expanded: an
+// engine's space never changes, and the default is what most queries —
+// cache hits included — ask for.
 func queryCacheKey(kind QueryKind, regions []RegionID, w Window, k int) string {
-	rs := make([]RegionID, len(regions))
-	copy(rs, regions)
+	rs := slices.Clone(regions)
 	slices.Sort(rs)
 	buf := make([]byte, 0, 48+8*len(rs))
 	buf = append(buf, kind...)
@@ -459,6 +465,9 @@ func queryCacheKey(kind QueryKind, regions []RegionID, w Window, k int) string {
 	buf = strconv.AppendUint(buf, math.Float64bits(w.End), 16)
 	buf = append(buf, '|')
 	buf = strconv.AppendInt(buf, int64(k), 10)
+	if len(rs) == 0 {
+		buf = append(buf, "|*"...)
+	}
 	for i, r := range rs {
 		if i > 0 && r == rs[i-1] {
 			continue
@@ -500,21 +509,18 @@ func (e *Engine) RecordQueryRevalidation() {
 	e.cacheRevals.Add(1)
 }
 
-// queryDefaults applies the unified query semantics to the TopK*
-// wrappers' arguments: an empty region set means every region of the
-// venue, k == 0 means DefaultQueryK — matching what Query.normalized
-// and the registry fan-out apply on the VenueRegistry path. A
-// negative k stays negative and yields an empty list downstream (the
-// error-returning registry path rejects it with ErrInvalidQuery; the
-// errorless engine wrappers degrade to the empty answer instead).
-func (e *Engine) queryDefaults(q []RegionID, k int) ([]RegionID, int) {
-	if len(q) == 0 {
-		q = e.Space().Regions()
-	}
+// defaultK applies the unified k default to the TopK* wrappers'
+// argument: k == 0 means DefaultQueryK, as Query.Normalized applies it
+// on the VenueRegistry path (the every-region default for an empty
+// region set is queryCounts' own). A negative k stays negative and
+// yields an empty list downstream (the error-returning registry path
+// rejects it with ErrInvalidQuery; the errorless engine wrappers
+// degrade to the empty answer instead).
+func defaultK(k int) int {
 	if k == 0 {
-		k = DefaultQueryK
+		return DefaultQueryK
 	}
-	return q, k
+	return k
 }
 
 // TopKPopularRegions answers a TkPRQ over the live store. It is a
@@ -523,8 +529,7 @@ func (e *Engine) queryDefaults(q []RegionID, k int) ([]RegionID, int) {
 // negative k yields an empty list; prefer VenueRegistry.Query in
 // multi-venue deployments.
 func (e *Engine) TopKPopularRegions(q []RegionID, w Window, k int) []RegionCount {
-	q, k = e.queryDefaults(q, k)
-	rcs, _, _ := e.queryCounts(QueryPopularRegions, q, w, k)
+	rcs, _, _ := e.queryCounts(QueryPopularRegions, q, w, defaultK(k))
 	return rcs
 }
 
@@ -533,8 +538,7 @@ func (e *Engine) TopKPopularRegions(q []RegionID, w Window, k int) []RegionCount
 // empty-q and k defaults as TopKPopularRegions; prefer
 // VenueRegistry.Query in multi-venue deployments.
 func (e *Engine) TopKFrequentPairs(q []RegionID, w Window, k int) []PairCount {
-	q, k = e.queryDefaults(q, k)
-	_, pcs, _ := e.queryCounts(QueryFrequentPairs, q, w, k)
+	_, pcs, _ := e.queryCounts(QueryFrequentPairs, q, w, defaultK(k))
 	return pcs
 }
 

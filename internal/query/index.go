@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"c2mn/internal/indoor"
@@ -12,30 +13,46 @@ import (
 // Index is an incrementally-maintained, time-bucketed aggregate over a
 // set of retained ms-sequences. It answers the two top-k queries
 // exactly — identical to a brute-force recount over the retained
-// sequences — while paying per query a cost bounded by the bucket
-// count plus the events of at most two boundary buckets, instead of a
-// scan of every retained semantics triple.
+// sequences — from flat slices indexed by dense integers: no query
+// touches a Go map or a comparator sort.
 //
-// The structure is a ring of fixed-width time buckets covering the
-// span of all retained stay events. Per bucket it keeps
+// Regions are interned: the first stay event naming a region gives it
+// the next dense rank, and everything below is indexed by rank. The
+// structure is a ring of fixed-width time buckets covering the span of
+// all retained stay events. Per bucket it keeps
 //
-//   - per-region counts of stay events whose period *starts* in the
-//     bucket and, separately, whose period *ends* in the bucket;
+//   - two dense rows of per-rank counts: live stay events whose period
+//     *starts* in the bucket and, separately, whose period *ends* in it;
 //   - the start/end event records themselves, for exact partial counts
 //     inside the two buckets a query window's edges fall into;
 //   - the set of sequences with a stay period intersecting the bucket,
 //     the candidate generator for the pair query.
+//
+// Beside the ring, every sequence's stay events sit in one flat
+// (rank, start, end) arena, so a candidate is scanned without touching
+// its m-semantics triples.
 //
 // TkPRQ uses the identity, valid for Start <= End windows,
 //
 //	#{e : e.End >= w.Start && e.Start <= w.End}
 //	  = #{e : e.Start <= w.End} - #{e : e.End < w.Start}
 //
-// both terms of which are a prefix sum over bucket aggregates plus one
-// boundary-bucket scan. TkFRPQ gathers the sequences registered in
-// the buckets the window overlaps and recounts only those — exact, and
-// proportional to the activity inside the window rather than to the
-// total retained history.
+// both terms of which are row additions over the buckets before the
+// bound plus one boundary-bucket scan: O(buckets · regions) slice adds
+// (at most 128 rows of int32 a side), independent of how many
+// sequences are retained. TkFRPQ gathers the sequences registered in
+// the buckets the window overlaps, emits one packed key per
+// (sequence, region pair) incidence, radix-sorts the keys and counts
+// runs: O(incidences + regions), proportional to the activity inside
+// the window rather than to the total retained history. Both finish
+// with the counting kernel's stable sort by count (kernel.go), which
+// over rows already in region order is the canonical order exactly.
+// Working memory is per call and pooled; the index itself is only read.
+//
+// Memory: a bucket's two rows are 4 bytes per rank each and only as
+// long as the highest rank the bucket has seen — at most 8 bytes per
+// interned region per bucket, 1.6 KB at 202 regions and 40 KB at
+// 5,000 (0.2 MB and 5 MB for a full 128-bucket ring).
 //
 // When the event span outgrows the bucket budget the bucket width
 // doubles and the ring is rebuilt from the retained sequences, so the
@@ -43,9 +60,10 @@ import (
 // driven by a min-heap on sequence end time, which is correct for
 // out-of-order sequence completion (a stale sequence is evicted even
 // when fresher sequences arrived before it). Evicted sequences are
-// removed from the aggregates immediately and from the per-bucket
-// event lists lazily; a rebuild compacts the lists once dead
-// sequences outnumber live ones.
+// removed from the rows immediately and from the per-bucket event
+// lists and the arena lazily; compaction drops them once dead
+// sequences outnumber live ones. Ranks are never serialised:
+// RestoreIndex re-interns while it replays the sequences.
 //
 // An Index is not safe for concurrent use; Store adds the lock.
 type Index struct {
@@ -59,6 +77,19 @@ type Index struct {
 
 	seqs []idxSeq
 	heap []int32 // min-heap of seq indices ordered by end time
+
+	// Region interning. Every region a stay event names gets a dense
+	// rank in order of first appearance; ranks index the bucket rows and
+	// never change, so a new region costs one sorted insert here and
+	// nothing else. The table is kept in region order: a query resolves
+	// its region set by binary search and reads answers off it ascending.
+	regionIDs   []indoor.RegionID // interned regions, ascending
+	regionRanks []int32           // regionRanks[i] is the rank of regionIDs[i]
+
+	// stays is the arena of every stored sequence's stay events, in
+	// sequence order: what the queries and eviction read instead of the
+	// m-semantics triples (which stay in seqs for Snapshot).
+	stays []stayRef
 
 	alive    int // live sequences
 	aliveSem int // semantics triples across live sequences
@@ -75,25 +106,32 @@ type Index struct {
 
 // idxSeq is one stored sequence plus its eviction bookkeeping.
 type idxSeq struct {
-	ms   seq.MSSequence
-	end  float64 // last semantics End: the eviction key
-	dead bool
+	ms             seq.MSSequence
+	end            float64 // last semantics End: the eviction key
+	stayLo, stayHi int32   // its stay events are stays[stayLo:stayHi]
+	dead           bool
+}
+
+// stayRef is one stay event: the region's rank and the period.
+type stayRef struct {
+	rank       int32
+	start, end float64
 }
 
 // bucket aggregates the stay events of one time slice.
 type bucket struct {
-	stayStarts map[indoor.RegionID]int // stay events starting here, by region
-	stayEnds   map[indoor.RegionID]int // stay events ending here, by region
-	starts     []eventRef              // the start events themselves (lazy-deleted)
-	ends       []eventRef              // the end events themselves (lazy-deleted)
-	seqIDs     []int32                 // sequences with a stay period intersecting the bucket
+	stayStarts []int32    // live stay events starting here, by region rank
+	stayEnds   []int32    // live stay events ending here, by region rank
+	starts     []eventRef // the start events themselves (lazy-deleted)
+	ends       []eventRef // the end events themselves (lazy-deleted)
+	seqIDs     []int32    // sequences with a stay period intersecting the bucket
 }
 
 // eventRef is one endpoint of a stay event.
 type eventRef struct {
-	seq    int32
-	region indoor.RegionID
-	t      float64
+	seq  int32
+	rank int32
+	t    float64
 }
 
 const (
@@ -160,7 +198,13 @@ func (ix *Index) Add(ms seq.MSSequence) {
 	ix.gen++
 	end := ms.Semantics[len(ms.Semantics)-1].End
 	idx := int32(len(ix.seqs))
-	ix.seqs = append(ix.seqs, idxSeq{ms: ms, end: end})
+	lo := len(ix.stays)
+	for _, m := range ms.Semantics {
+		if m.Event == seq.Stay {
+			ix.stays = append(ix.stays, stayRef{rank: ix.intern(m.Region), start: m.Start, end: m.End})
+		}
+	}
+	ix.seqs = append(ix.seqs, idxSeq{ms: ms, end: end, stayLo: int32(lo), stayHi: int32(len(ix.stays))})
 	ix.alive++
 	ix.aliveSem += len(ms.Semantics)
 	if !ix.hasMax || end > ix.maxEnd {
@@ -178,15 +222,28 @@ func (ix *Index) Add(ms seq.MSSequence) {
 	}
 }
 
+// intern returns r's rank, assigning the next one on first sight.
+func (ix *Index) intern(r indoor.RegionID) int32 {
+	i, ok := slices.BinarySearch(ix.regionIDs, r)
+	if !ok {
+		ix.regionRanks = slices.Insert(ix.regionRanks, i, int32(len(ix.regionIDs)))
+		ix.regionIDs = slices.Insert(ix.regionIDs, i, r)
+	}
+	return ix.regionRanks[i]
+}
+
+// staysOf returns seq idx's stay events.
+func (ix *Index) staysOf(idx int32) []stayRef {
+	s := &ix.seqs[idx]
+	return ix.stays[s.stayLo:s.stayHi]
+}
+
 // ensureCoverage extends the ring to cover seq idx's stay events. It
 // reports whether it rebuilt the ring (which indexes idx already).
 func (ix *Index) ensureCoverage(idx int32) bool {
 	lo, hi, any := int64(0), int64(0), false
-	for _, m := range ix.seqs[idx].ms.Semantics {
-		if m.Event != seq.Stay {
-			continue
-		}
-		ks, ke := ix.keyOf(m.Start), ix.keyOf(m.End)
+	for _, st := range ix.staysOf(idx) {
+		ks, ke := ix.keyOf(st.start), ix.keyOf(st.end)
 		if !any {
 			lo, hi, any = ks, ke, true
 			continue
@@ -234,15 +291,12 @@ func (ix *Index) liveTimeRange(upTo int32) (lo, hi float64) {
 		if ix.seqs[i].dead {
 			continue
 		}
-		for _, m := range ix.seqs[i].ms.Semantics {
-			if m.Event != seq.Stay {
-				continue
-			}
+		for _, st := range ix.staysOf(i) {
 			if first {
-				lo, hi, first = m.Start, m.End, false
+				lo, hi, first = st.start, st.end, false
 				continue
 			}
-			lo, hi = math.Min(lo, m.Start), math.Max(hi, m.End)
+			lo, hi = math.Min(lo, st.start), math.Max(hi, st.end)
 		}
 	}
 	return lo, hi
@@ -259,23 +313,14 @@ func spanAt(lo, hi float64, width float64) int64 {
 // indexEvents registers seq idx's stay events in the (already
 // covering) ring.
 func (ix *Index) indexEvents(idx int32) {
-	for _, m := range ix.seqs[idx].ms.Semantics {
-		if m.Event != seq.Stay {
-			continue
-		}
-		ks, ke := ix.keyOf(m.Start), ix.keyOf(m.End)
+	for _, st := range ix.staysOf(idx) {
+		ks, ke := ix.keyOf(st.start), ix.keyOf(st.end)
 		bs := &ix.buckets[ks-ix.base]
-		if bs.stayStarts == nil {
-			bs.stayStarts = map[indoor.RegionID]int{}
-		}
-		bs.stayStarts[m.Region]++
-		bs.starts = append(bs.starts, eventRef{seq: idx, region: m.Region, t: m.Start})
+		bs.stayStarts = bumpRow(bs.stayStarts, st.rank)
+		bs.starts = append(bs.starts, eventRef{seq: idx, rank: st.rank, t: st.start})
 		be := &ix.buckets[ke-ix.base]
-		if be.stayEnds == nil {
-			be.stayEnds = map[indoor.RegionID]int{}
-		}
-		be.stayEnds[m.Region]++
-		be.ends = append(be.ends, eventRef{seq: idx, region: m.Region, t: m.End})
+		be.stayEnds = bumpRow(be.stayEnds, st.rank)
+		be.ends = append(be.ends, eventRef{seq: idx, rank: st.rank, t: st.end})
 		for k := ks; k <= ke; k++ {
 			b := &ix.buckets[k-ix.base]
 			if n := len(b.seqIDs); n == 0 || b.seqIDs[n-1] != idx {
@@ -283,6 +328,17 @@ func (ix *Index) indexEvents(idx int32) {
 			}
 		}
 	}
+}
+
+// bumpRow counts one more event of the rank in a bucket row. A row is
+// as long as the highest rank its bucket has seen, not the region
+// count, so a bucket costs memory only for regions active in it.
+func bumpRow(row []int32, rank int32) []int32 {
+	if n := int(rank) + 1; n > len(row) {
+		row = append(row, make([]int32, n-len(row))...)
+	}
+	row[rank]++
+	return row
 }
 
 // rebuild re-creates the ring at the given width from the live
@@ -308,12 +364,16 @@ func (ix *Index) rebuild(width float64) {
 // back.
 func (ix *Index) compact() {
 	live := make([]idxSeq, 0, ix.alive)
+	var stays []stayRef
 	for i := range ix.seqs {
-		if !ix.seqs[i].dead {
-			live = append(live, ix.seqs[i])
+		if s := ix.seqs[i]; !s.dead {
+			lo := len(stays)
+			stays = append(stays, ix.stays[s.stayLo:s.stayHi]...)
+			s.stayLo, s.stayHi = int32(lo), int32(len(stays))
+			live = append(live, s)
 		}
 	}
-	ix.seqs = live
+	ix.seqs, ix.stays = live, stays
 	ix.heap = ix.heap[:0]
 	for i := range ix.seqs {
 		ix.heapPush(int32(i))
@@ -353,18 +413,9 @@ func (ix *Index) kill(idx int32) {
 	s.dead = true
 	ix.alive--
 	ix.aliveSem -= len(s.ms.Semantics)
-	for _, m := range s.ms.Semantics {
-		if m.Event != seq.Stay {
-			continue
-		}
-		bs := &ix.buckets[ix.keyOf(m.Start)-ix.base]
-		if bs.stayStarts[m.Region]--; bs.stayStarts[m.Region] == 0 {
-			delete(bs.stayStarts, m.Region)
-		}
-		be := &ix.buckets[ix.keyOf(m.End)-ix.base]
-		if be.stayEnds[m.Region]--; be.stayEnds[m.Region] == 0 {
-			delete(be.stayEnds, m.Region)
-		}
+	for _, st := range ix.staysOf(idx) {
+		ix.buckets[ix.keyOf(st.start)-ix.base].stayStarts[st.rank]--
+		ix.buckets[ix.keyOf(st.end)-ix.base].stayEnds[st.rank]--
 	}
 }
 
@@ -494,54 +545,72 @@ func (ix *Index) TopKPopularRegions(q []indoor.RegionID, w Window, k int) []Regi
 		// special-case the prefix-sum identity, which assumes order.
 		return TopKPopularRegions(ix.Snapshot(), q, w, k)
 	}
-	qs := regionSet(q)
-	counts := map[indoor.RegionID]int{}
-	ix.accumulate(counts, qs, w.End, false, +1)  // +#{Start <= w.End}
-	ix.accumulate(counts, qs, w.Start, true, -1) // -#{End < w.Start}
-	out := make([]RegionCount, 0, len(counts))
-	for r, c := range counts {
-		if c > 0 {
-			out = append(out, RegionCount{r, c})
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.acc = grow(sc.acc, len(ix.regionIDs))
+	clear(sc.acc)
+	ix.accumulate(sc.acc, w.End, false)  // +#{Start <= w.End}
+	ix.accumulate(sc.acc, w.Start, true) // -#{End < w.Start}
+	ix.markQueried(sc, q)
+	rows := sc.regions[:0]
+	for i, rank := range ix.regionRanks { // ascending region ID: key order
+		if c := sc.acc[rank]; c > 0 && sc.pos[rank] != 0 {
+			rows = append(rows, RegionCount{ix.regionIDs[i], int(c)})
 		}
 	}
-	SortRegionCounts(out)
-	return TruncateRegionCounts(out, k)
+	sc.regions = rows
+	return topByCount(sc, rows, &sc.regionsTmp, k, regionCountKey)
 }
 
-// accumulate adds sign * #{events with endpoint before cutoff} to
-// counts, per region restricted to qs. ends selects which endpoint:
-// start times compare inclusively (Start <= cutoff), end times
-// strictly (End < cutoff), matching the TkPRQ identity.
-func (ix *Index) accumulate(counts map[indoor.RegionID]int, qs map[indoor.RegionID]bool, cutoff float64, ends bool, sign int) {
+// markQueried resolves a query's region set against the interning
+// table: sc.pos[rank] is non-zero exactly for the interned regions in
+// q. Duplicates collapse, and a region no stay event ever named has no
+// rank and nothing to count.
+func (ix *Index) markQueried(sc *scratch, q []indoor.RegionID) {
+	sc.pos = grow(sc.pos, len(ix.regionIDs))
+	clear(sc.pos)
+	for _, r := range q {
+		if i, ok := slices.BinarySearch(ix.regionIDs, r); ok {
+			sc.pos[ix.regionRanks[i]] = 1
+		}
+	}
+}
+
+// accumulate adds to acc, per region rank, the number of live stay
+// events starting at or before cutoff — or, with ends set, subtracts
+// the number ending strictly before it; the two terms of the TkPRQ
+// identity. Buckets wholly before the cutoff contribute their rows,
+// the bucket holding it a scan of its events.
+func (ix *Index) accumulate(acc []int32, cutoff float64, ends bool) {
 	if len(ix.buckets) == 0 {
 		return
 	}
 	edge := ix.cutoffBucket(cutoff)
-	interior := min(edge, len(ix.buckets))
-	for b := 0; b < interior; b++ {
-		agg := ix.buckets[b].stayStarts
+	for b := range ix.buckets[:min(max(edge, 0), len(ix.buckets))] {
 		if ends {
-			agg = ix.buckets[b].stayEnds
-		}
-		for r, c := range agg {
-			if qs[r] {
-				counts[r] += sign * c
+			for rank, c := range ix.buckets[b].stayEnds {
+				acc[rank] -= c
+			}
+		} else {
+			for rank, c := range ix.buckets[b].stayStarts {
+				acc[rank] += c
 			}
 		}
 	}
 	if edge < 0 || edge >= len(ix.buckets) {
 		return
 	}
-	evs := ix.buckets[edge].starts
 	if ends {
-		evs = ix.buckets[edge].ends
-	}
-	for _, ev := range evs {
-		if ix.seqs[ev.seq].dead || !qs[ev.region] {
-			continue
+		for _, ev := range ix.buckets[edge].ends {
+			if ev.t < cutoff && !ix.seqs[ev.seq].dead {
+				acc[ev.rank]--
+			}
 		}
-		if (!ends && ev.t <= cutoff) || (ends && ev.t < cutoff) {
-			counts[ev.region] += sign
+	} else {
+		for _, ev := range ix.buckets[edge].starts {
+			if ev.t <= cutoff && !ix.seqs[ev.seq].dead {
+				acc[ev.rank]++
+			}
 		}
 	}
 }
@@ -565,6 +634,12 @@ func (ix *Index) cutoffBucket(t float64) int {
 // results identical to TopKFrequentPairs over Snapshot(). Candidates
 // come from the buckets the window overlaps, so the cost follows the
 // activity inside the window, not the total retained history.
+//
+// Each candidate sequence emits one packed key per pair of distinct
+// queried regions it stayed in: the two regions' positions in the
+// ascending query set, smaller first. Sorting the keys numerically is
+// then sorting the pairs by (A, B), and a pair's count is the length of
+// its run.
 func (ix *Index) TopKFrequentPairs(q []indoor.RegionID, w Window, k int) []PairCount {
 	if math.IsNaN(w.Start) || math.IsNaN(w.End) {
 		return make([]PairCount, 0)
@@ -575,47 +650,65 @@ func (ix *Index) TopKFrequentPairs(q []indoor.RegionID, w Window, k int) []PairC
 	if len(ix.buckets) == 0 {
 		return make([]PairCount, 0)
 	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+
+	// Number the queried regions 1..m in ascending ID order.
+	ix.markQueried(sc, q)
+	pos, posID := sc.pos, append(sc.posID[:0], 0)
+	for i, rank := range ix.regionRanks {
+		if pos[rank] != 0 {
+			pos[rank] = int32(len(posID))
+			posID = append(posID, ix.regionIDs[i])
+		}
+	}
+	sc.posID = posID
+	shift := uint(bits.Len(uint(len(posID))))
+	sc.owner = grow(sc.owner, len(posID))
+	owner := sc.owner
+	clear(owner)
+
 	b0 := max(ix.cutoffBucket(w.Start), 0)
 	b1 := min(ix.cutoffBucket(w.End), len(ix.buckets)-1)
-	counts := map[[2]indoor.RegionID]int{}
-	qs := regionSet(q)
-	seen := map[int32]bool{}
-	var regions []indoor.RegionID
+	seen, epoch := sc.nextEpoch(len(ix.seqs))
+	keys, regs, serial := sc.keys[:0], sc.regs, int32(0)
 	for b := b0; b <= b1; b++ {
 		for _, idx := range ix.buckets[b].seqIDs {
-			if seen[idx] || ix.seqs[idx].dead {
+			if seen[idx] == epoch || ix.seqs[idx].dead {
 				continue
 			}
-			seen[idx] = true
-			regions = regions[:0]
-			for _, m := range ix.seqs[idx].ms.Semantics {
-				if m.Event == seq.Stay && qs[m.Region] && w.Contains(m) && !containsRegion(regions, m.Region) {
-					regions = append(regions, m.Region)
+			seen[idx] = epoch
+			serial++
+			regs = regs[:0]
+			for _, st := range ix.staysOf(idx) {
+				if p := pos[st.rank]; p != 0 && owner[p] != serial && st.end >= w.Start && st.start <= w.End {
+					owner[p] = serial
+					regs = append(regs, p)
 				}
 			}
-			slices.Sort(regions)
-			for i := 0; i < len(regions); i++ {
-				for j := i + 1; j < len(regions); j++ {
-					counts[[2]indoor.RegionID{regions[i], regions[j]}]++
+			slices.Sort(regs)
+			for i, lo := range regs {
+				for _, hi := range regs[i+1:] {
+					keys = append(keys, uint64(lo)<<shift|uint64(hi))
 				}
 			}
 		}
 	}
-	out := make([]PairCount, 0, len(counts))
-	for p, c := range counts {
-		out = append(out, PairCount{p[0], p[1], c})
-	}
-	SortPairCounts(out)
-	return TruncatePairCounts(out, k)
-}
+	sc.keys, sc.regs = keys, regs
+	sc.keysTmp = grow(sc.keysTmp, len(keys))
+	radixSort[struct{}](keys, sc.keysTmp, nil, nil)
 
-func containsRegion(rs []indoor.RegionID, r indoor.RegionID) bool {
-	for _, x := range rs {
-		if x == r {
-			return true
+	rows := sc.pairs[:0]
+	for i := 0; i < len(keys); {
+		j := i + 1
+		for j < len(keys) && keys[j] == keys[i] {
+			j++
 		}
+		rows = append(rows, PairCount{posID[keys[i]>>shift], posID[keys[i]&(1<<shift-1)], j - i})
+		i = j
 	}
-	return false
+	sc.pairs = rows
+	return topByCount(sc, rows, &sc.pairsTmp, k, pairCountKey)
 }
 
 // heapPush / heapPop maintain the eviction min-heap on sequence end.

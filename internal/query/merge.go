@@ -1,12 +1,6 @@
 package query
 
-import (
-	"cmp"
-	"math"
-	"slices"
-
-	"c2mn/internal/indoor"
-)
+import "math"
 
 // AllCounts, passed as k, disables top-k truncation: the query returns
 // the full count list, the form a cross-shard merge needs.
@@ -22,78 +16,6 @@ const AllCounts = math.MaxInt
 // count descending, ties broken by region ID(s) ascending — so merged
 // and single-shard answers compare (and concatenate across pages)
 // deterministically.
-
-// SortRegionCounts orders a count list canonically: count descending,
-// ties broken by region ID ascending. The change-feed fold
-// (internal/notify) re-sorts answers it reassembles from deltas with
-// this, so folded and freshly-computed answers compare byte-for-byte.
-func SortRegionCounts(out []RegionCount) { slices.SortFunc(out, compareRegionCounts) }
-
-// SortPairCounts orders a pair-count list canonically.
-func SortPairCounts(out []PairCount) { slices.SortFunc(out, comparePairCounts) }
-
-// compareRegionCounts is the canonical order of region counts.
-func compareRegionCounts(a, b RegionCount) int {
-	if a.Count != b.Count {
-		return cmp.Compare(b.Count, a.Count)
-	}
-	return cmp.Compare(a.Region, b.Region)
-}
-
-// comparePairCounts is the canonical order of pair counts.
-func comparePairCounts(a, b PairCount) int {
-	if a.Count != b.Count {
-		return cmp.Compare(b.Count, a.Count)
-	}
-	if a.A != b.A {
-		return cmp.Compare(a.A, b.A)
-	}
-	return cmp.Compare(a.B, b.B)
-}
-
-// selectTop returns the first k elements of s in compare order, sorted —
-// what sorting all of s and truncating to k yields — in O(n log k)
-// instead of O(n log n). It works in place and keeps only the winners:
-// s must be scratch the caller owns. k >= len(s) sorts everything.
-func selectTop[T any](s []T, k int, compare func(a, b T) int) []T {
-	if k >= len(s) {
-		slices.SortFunc(s, compare)
-		return s
-	}
-	// h is a heap with the last-ranked of the k kept elements on top,
-	// so one comparison decides whether a further element displaces it.
-	h := s[:max(k, 0)]
-	if len(h) == 0 {
-		return h
-	}
-	down := func(i int) {
-		for {
-			c := 2*i + 1
-			if c >= len(h) {
-				return
-			}
-			if c+1 < len(h) && compare(h[c+1], h[c]) > 0 {
-				c++
-			}
-			if compare(h[c], h[i]) <= 0 {
-				return
-			}
-			h[i], h[c] = h[c], h[i]
-			i = c
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		down(i)
-	}
-	for _, x := range s[len(h):] {
-		if compare(x, h[0]) < 0 {
-			h[0] = x
-			down(0)
-		}
-	}
-	slices.SortFunc(h, compare)
-	return h
-}
 
 // TruncateRegionCounts caps a canonically-ordered count list at k
 // entries. k <= 0 yields an empty list; a nil input stays nil.
@@ -139,29 +61,24 @@ func MergePairCounts(lists ...[]PairCount) []PairCount {
 	return MergeTopPairCounts(AllCounts, lists...)
 }
 
-// MergeTopRegionCounts is TruncateRegionCounts(MergeRegionCounts(lists...), k)
-// without ranking the rows the truncation drops: the merged top k is
-// selected, not cut from a full sort. A single list is already
-// canonical and is only truncated (it is never written to).
+// MergeTopRegionCounts is TruncateRegionCounts(MergeRegionCounts(lists...), k).
+// A single list is already canonical and is only truncated (it is
+// never written to); several are concatenated into scratch and run
+// through the counting kernel (kernel.go): region order, sum the runs,
+// count order.
 func MergeTopRegionCounts(k int, lists ...[]RegionCount) []RegionCount {
 	if len(lists) == 1 {
 		return TruncateRegionCounts(lists[0], k)
 	}
-	total := 0
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	rows := sc.regions[:0]
 	for _, l := range lists {
-		total += len(l)
+		rows = append(rows, l...)
 	}
-	counts := make(map[indoor.RegionID]int, total)
-	for _, l := range lists {
-		for _, rc := range l {
-			counts[rc.Region] += rc.Count
-		}
-	}
-	out := make([]RegionCount, 0, len(counts))
-	for r, c := range counts {
-		out = append(out, RegionCount{Region: r, Count: c})
-	}
-	return selectTop(out, k, compareRegionCounts)
+	sc.regions = rows
+	sortRows(sc, rows, &sc.regionsTmp, regionKey)
+	return topByCount(sc, sumRegionRuns(rows), &sc.regionsTmp, k, regionCountKey)
 }
 
 // MergeTopPairCounts is the pair analogue of MergeTopRegionCounts.
@@ -169,19 +86,14 @@ func MergeTopPairCounts(k int, lists ...[]PairCount) []PairCount {
 	if len(lists) == 1 {
 		return TruncatePairCounts(lists[0], k)
 	}
-	total := 0
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	rows := sc.pairs[:0]
 	for _, l := range lists {
-		total += len(l)
+		rows = append(rows, l...)
 	}
-	counts := make(map[[2]indoor.RegionID]int, total)
-	for _, l := range lists {
-		for _, pc := range l {
-			counts[[2]indoor.RegionID{pc.A, pc.B}] += pc.Count
-		}
-	}
-	out := make([]PairCount, 0, len(counts))
-	for p, c := range counts {
-		out = append(out, PairCount{A: p[0], B: p[1], Count: c})
-	}
-	return selectTop(out, k, comparePairCounts)
+	sc.pairs = rows
+	sortRows(sc, rows, &sc.pairsTmp, pairBKey) // least significant component first
+	sortRows(sc, rows, &sc.pairsTmp, pairAKey)
+	return topByCount(sc, sumPairRuns(rows), &sc.pairsTmp, k, pairCountKey)
 }

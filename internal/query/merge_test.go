@@ -2,8 +2,10 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"c2mn/internal/indoor"
@@ -93,6 +95,113 @@ func TestMergeMatchesBruteForceOverConcatenation(t *testing.T) {
 		wantP := TopKFrequentPairs(all, q, w, k)
 		if !reflect.DeepEqual(append([]PairCount{}, gotP...), wantP) {
 			t.Fatalf("trial %d: merged TkFRPQ = %v, brute force = %v (window %+v, k=%d)", trial, gotP, wantP, w, k)
+		}
+	}
+}
+
+// TestMergeMatchesBruteForceHostileShapes widens the fleet-merge
+// property to the shapes TestMergeMatchesBruteForceOverConcatenation
+// leaves out: three to six shards whose region sets are identical,
+// pairwise disjoint or overlapping, over sparse, large and negative
+// region IDs, at k of 0, 1, a few and AllCounts. The reference is the
+// brute-force recount over the concatenated snapshots.
+func TestMergeMatchesBruteForceHostileShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 60; trial++ {
+		nShards := 3 + rng.Intn(4)
+		// pools[i] is the region set shard i draws from.
+		pools := make([][]indoor.RegionID, nShards)
+		for i := range pools {
+			switch trial % 3 {
+			case 0: // identical key sets
+				pools[i] = hostileIDs[:6]
+			case 1: // disjoint key sets
+				pools[i] = hostileIDs[2*i : 2*i+2]
+			default: // overlapping
+				pools[i] = hostileIDs[i : i+8]
+			}
+		}
+		shards := randomFleet(rng, nShards, 10+rng.Intn(30), 8)
+		var all []seq.MSSequence
+		for i, ix := range shards {
+			// Re-label the shard onto its pool and re-index it.
+			relabelled := NewIndex(0)
+			for _, ms := range ix.Snapshot() {
+				sems := slices.Clone(ms.Semantics)
+				for j := range sems {
+					sems[j].Region = pools[i][int(sems[j].Region)%len(pools[i])]
+				}
+				ms.Semantics = sems
+				relabelled.Add(ms)
+				all = append(all, ms)
+			}
+			shards[i] = relabelled
+		}
+		q := append(slices.Clone(hostileIDs), unseenIDs...)
+		lo := rng.Float64() * 2000
+		w := Window{Start: lo, End: lo + rng.Float64()*3000}
+		regionParts := make([][]RegionCount, nShards)
+		pairParts := make([][]PairCount, nShards)
+		for i, ix := range shards {
+			regionParts[i] = ix.TopKPopularRegions(q, w, AllCounts)
+			pairParts[i] = ix.TopKFrequentPairs(q, w, AllCounts)
+		}
+		for _, k := range []int{0, 1, 4, AllCounts} {
+			if got, want := MergeTopRegionCounts(k, regionParts...), TopKPopularRegions(all, q, w, k); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d k=%d: merged TkPRQ = %v, brute force = %v", trial, k, got, want)
+			}
+			if got, want := MergeTopPairCounts(k, pairParts...), TopKFrequentPairs(all, q, w, k); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d k=%d: merged TkFRPQ = %v, brute force = %v", trial, k, got, want)
+			}
+		}
+	}
+}
+
+// TestMergeSumsAnyCounts: partials off the wire (the router merges what
+// backends send) need not look like counts the index produces. Zero,
+// negative and huge counts must sum and rank as the comparator order
+// says — the reference here is a map and SortRegionCounts/SortPairCounts.
+func TestMergeSumsAnyCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	counts := []int{0, 1, 2, -1, -300, 255, 256, 1 << 40, math.MaxInt / 4, math.MinInt / 4}
+	for trial := 0; trial < 40; trial++ {
+		nLists := 2 + rng.Intn(4)
+		regionLists := make([][]RegionCount, nLists)
+		pairLists := make([][]PairCount, nLists)
+		regionSum := map[indoor.RegionID]int{}
+		pairSum := map[[2]indoor.RegionID]int{}
+		for i := range regionLists {
+			for ai, a := range hostileIDs {
+				if c := counts[rng.Intn(len(counts))]; rng.Intn(2) == 0 {
+					regionLists[i] = append(regionLists[i], RegionCount{a, c})
+					regionSum[a] += c
+				}
+				for _, b := range hostileIDs[ai+1:] {
+					if c := counts[rng.Intn(len(counts))]; rng.Intn(3) == 0 {
+						lo, hi := min(a, b), max(a, b)
+						pairLists[i] = append(pairLists[i], PairCount{lo, hi, c})
+						pairSum[[2]indoor.RegionID{lo, hi}] += c
+					}
+				}
+			}
+			SortRegionCounts(regionLists[i])
+			SortPairCounts(pairLists[i])
+		}
+		wantR := make([]RegionCount, 0, len(regionSum))
+		for r, c := range regionSum {
+			wantR = append(wantR, RegionCount{r, c})
+		}
+		SortRegionCounts(wantR)
+		wantP := make([]PairCount, 0, len(pairSum))
+		for p, c := range pairSum {
+			wantP = append(wantP, PairCount{p[0], p[1], c})
+		}
+		SortPairCounts(wantP)
+		if got := MergeRegionCounts(regionLists...); !reflect.DeepEqual(got, wantR) {
+			t.Fatalf("trial %d: merged regions = %v, want %v", trial, got, wantR)
+		}
+		if got := MergePairCounts(pairLists...); !reflect.DeepEqual(got, wantP) {
+			t.Fatalf("trial %d: merged pairs = %v, want %v", trial, got, wantP)
 		}
 	}
 }
@@ -189,5 +298,38 @@ func TestMergeTopEqualsTruncatedMerge(t *testing.T) {
 		if fmt.Sprint(regionLists) != regionsBefore || fmt.Sprint(pairLists) != pairsBefore {
 			t.Fatalf("trial %d: a merge wrote to its input lists", trial)
 		}
+	}
+}
+
+// BenchmarkMergeTopPairCounts measures the cross-venue pair merge as a
+// fleet query runs it on every request, cache hits included: untruncated
+// canonical lists in (about 10 k rows each over a 202-region venue,
+// mostly the same pairs), the merged top 10 out.
+func BenchmarkMergeTopPairCounts(b *testing.B) {
+	for _, nLists := range []int{2, 4} {
+		b.Run(fmt.Sprintf("lists=%d", nLists), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(5))
+			lists := make([][]PairCount, nLists)
+			rows := 0
+			for i := range lists {
+				for a := 0; a < 202; a++ {
+					for c := a + 1; c < 202; c++ {
+						if rng.Intn(2) == 0 {
+							lists[i] = append(lists[i], PairCount{A: indoor.RegionID(a), B: indoor.RegionID(c), Count: 1 + rng.Intn(40)})
+						}
+					}
+				}
+				SortPairCounts(lists[i])
+				rows += len(lists[i])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if got := MergeTopPairCounts(10, lists...); len(got) != 10 {
+					b.Fatalf("merged top-10 has %d rows", len(got))
+				}
+			}
+			b.ReportMetric(float64(rows), "rows")
+		})
 	}
 }

@@ -10,6 +10,7 @@
 package query
 
 import (
+	"cmp"
 	"slices"
 
 	"c2mn/internal/indoor"
@@ -105,6 +106,37 @@ func TopKFrequentPairs(mss []seq.MSSequence, q []indoor.RegionID, w Window, k in
 	}
 	SortPairCounts(out)
 	return TruncatePairCounts(out, k)
+}
+
+// SortRegionCounts orders a count list canonically: count descending,
+// ties broken by region ID ascending. It is the definition of the
+// canonical order — a plain comparator sort, which the brute-force
+// recounts above use and the index and merge kernels (kernel.go) must
+// reproduce without one. The change-feed fold
+// (internal/notify) re-sorts answers it reassembles from deltas with
+// this, so folded and freshly-computed answers compare byte-for-byte.
+func SortRegionCounts(out []RegionCount) { slices.SortFunc(out, compareRegionCounts) }
+
+// SortPairCounts orders a pair-count list canonically.
+func SortPairCounts(out []PairCount) { slices.SortFunc(out, comparePairCounts) }
+
+// compareRegionCounts is the canonical order of region counts.
+func compareRegionCounts(a, b RegionCount) int {
+	if a.Count != b.Count {
+		return cmp.Compare(b.Count, a.Count)
+	}
+	return cmp.Compare(a.Region, b.Region)
+}
+
+// comparePairCounts is the canonical order of pair counts.
+func comparePairCounts(a, b PairCount) int {
+	if a.Count != b.Count {
+		return cmp.Compare(b.Count, a.Count)
+	}
+	if a.A != b.A {
+		return cmp.Compare(a.A, b.A)
+	}
+	return cmp.Compare(a.B, b.B)
 }
 
 // RegionPrecision is the fraction of the true top-k regions present in

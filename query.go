@@ -218,39 +218,45 @@ func (vr *VenueRegistry) Query(ctx context.Context, q Query) (QueryResult, error
 	// queries behind busy inference slots would regress the venue-scoped
 	// path, which never waited before this API existed.
 	bounded := len(ids) > 1
-	var wg sync.WaitGroup
-	for i, id := range ids {
-		wg.Add(1)
-		go func(p *partial, id string) {
-			defer wg.Done()
-			if err := ctx.Err(); err != nil {
-				p.err = canceled(err)
+	scan := func(p *partial, id string) {
+		if err := ctx.Err(); err != nil {
+			p.err = canceled(err)
+			return
+		}
+		e, err := vr.Engine(id)
+		if err != nil {
+			if fleet {
+				p.skipped = true // unloaded between listing and scan
+			} else {
+				p.err = err
+			}
+			return
+		}
+		if bounded {
+			if err := e.acquire(ctx); err != nil {
+				p.err = err
 				return
 			}
-			e, err := vr.Engine(id)
-			if err != nil {
-				if fleet {
-					p.skipped = true // unloaded between listing and scan
-				} else {
-					p.err = err
-				}
-				return
-			}
-			if bounded {
-				if err := e.acquire(ctx); err != nil {
-					p.err = err
-					return
-				}
-				defer e.release()
-			}
-			regions := nq.Regions
-			if len(regions) == 0 {
-				regions = e.Space().Regions()
-			}
-			p.regions, p.pairs, p.gen = e.queryCounts(nq.Kind, regions, nq.window(), query.AllCounts)
-		}(&parts[i], id)
+			defer e.release()
+		}
+		p.regions, p.pairs, p.gen = e.queryCounts(nq.Kind, nq.Regions, nq.window(), query.AllCounts)
 	}
-	wg.Wait()
+	if bounded {
+		var wg sync.WaitGroup
+		for i, id := range ids {
+			wg.Add(1)
+			go func(p *partial, id string) {
+				defer wg.Done()
+				scan(p, id)
+			}(&parts[i], id)
+		}
+		wg.Wait()
+	} else {
+		// One venue (or none): nothing to overlap, so no goroutine.
+		for i, id := range ids {
+			scan(&parts[i], id)
+		}
+	}
 
 	res := QueryResult{
 		Kind: nq.Kind, Scope: nq.Scope, K: nq.K,

@@ -226,6 +226,51 @@ func TestQueryGenerationsExact(t *testing.T) {
 	}
 }
 
+// TestQueryCacheSlots pins what shares a result-cache slot: region
+// lists are sets, so a permuted or repeated explicit list hits the slot
+// its sorted form filled, and the every-region default (encoded as a
+// marker, not expanded) hits its own slot however it is spelled — while
+// answering exactly what the expanded list answers.
+func TestQueryCacheSlots(t *testing.T) {
+	vr, a, _, _ := fleetRegistry(t)
+	ctx := context.Background()
+	north, err := vr.Engine("north")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := Window{Start: 0, End: 1e6}
+	ask := func(regions []RegionID, wantHit bool) []RegionCount {
+		t.Helper()
+		before := north.Stats()
+		res, err := vr.Query(ctx, Query{Kind: QueryPopularRegions, Venues: []string{"north"}, Regions: regions, Window: &w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := north.Stats()
+		if hit := after.QueryCacheHits > before.QueryCacheHits; hit != wantHit {
+			t.Fatalf("regions %v: cache hit = %v, want %v", regions, hit, wantHit)
+		}
+		return res.Regions
+	}
+	ask([]RegionID{3, 1, 2}, false)
+	ask([]RegionID{1, 2, 3}, true)
+	ask([]RegionID{2, 2, 3, 1, 3}, true)
+	ask([]RegionID{1, 2}, false)
+
+	byDefault := ask(nil, false)
+	ask([]RegionID{}, true)
+	if got := north.TopKPopularRegions(nil, w, DefaultQueryK); !reflect.DeepEqual(got, byDefault) {
+		t.Fatalf("Engine.TopKPopularRegions(nil) = %v, registry default = %v", got, byDefault)
+	}
+	// The explicit full list is its own slot, with the same answer.
+	if explicit := ask(a.Space().Regions(), false); !reflect.DeepEqual(explicit, byDefault) {
+		t.Fatalf("every region listed = %v, every region by default = %v", explicit, byDefault)
+	}
+	if len(byDefault) == 0 {
+		t.Fatal("empty answer over a populated store proves nothing")
+	}
+}
+
 func TestRegistryQueryErrors(t *testing.T) {
 	vr, a, test := testRegistry(t)
 	if _, err := vr.Register("only", a); err != nil {
